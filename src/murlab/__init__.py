@@ -15,7 +15,6 @@ from .engine import (
     regular_mur,
     family_mur,
     spread_bounds,
-    symbolic_universal_matrix,
     universal_matrix,
 )
 from .fixtures import FIXTURE_NAMES, verify_fixture
@@ -48,7 +47,6 @@ __all__ = [
     "replay_report",
     "report_to_json",
     "spread_bounds",
-    "symbolic_universal_matrix",
     "universal_matrix",
     "verify_fixture",
 ]

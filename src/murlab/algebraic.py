@@ -138,11 +138,3 @@ class AlgebraicNumber:
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self.rep!r} mod {self.context.modulus!r})"
-
-
-def alg_invert(a: AlgebraicNumber):
-    """Inverse of a, or the Split forced by a zero-divisor representative."""
-    try:
-        return a.inverse()
-    except SplitRequired as exc:
-        return exc.split

@@ -154,12 +154,12 @@ def cmd_verify(args) -> int:
 def cmd_replay(args) -> int:
     try:
         with open(args.file) as fh:
-            doc = parse_report(fh.read())
+            checks = replay_report(parse_report(fh.read()))
     except (OSError, ReportError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     failed = 0
-    for check in replay_report(doc):
+    for check in checks:
         status = "PASS" if check.ok else "FAIL"
         if not check.ok:
             failed += 1

@@ -11,15 +11,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import inf, lcm
 from typing import Iterator, Optional, Union
 
 from .algebraic import AlgebraicContext, AlgebraicNumber
-from .families import FamilyMatch, recognize_family
+from .families import FamilyMatch, family_matches
 from .graphs import Graph, components, diameter
-from .matrices import charpoly, det_int, rank_rational, solve_int
-from .multipoly import TriPoly
+from .matrices import charpoly, det_int, rank_algebraic, rank_rational, solve_int
 from .pathsearch import (
     DEFAULT_NODE_BUDGET,
     PathForestResult,
@@ -53,15 +53,6 @@ class ParamPoint:
     @classmethod
     def rational(cls, beta, gamma, delta) -> "ParamPoint":
         return cls(Fraction(beta), Fraction(gamma), Fraction(delta))
-
-    def is_rational(self) -> bool:
-        return all(isinstance(s, Fraction) for s in (self.beta, self.gamma, self.delta))
-
-    def context(self) -> Optional[AlgebraicContext]:
-        for s in (self.beta, self.gamma, self.delta):
-            if isinstance(s, AlgebraicNumber):
-                return s.context
-        return None
 
 
 @dataclass(frozen=True)
@@ -105,20 +96,15 @@ def universal_matrix(g: Graph, p: ParamPoint) -> list[list]:
     return out
 
 
-def symbolic_universal_matrix(g: Graph) -> list[list[TriPoly]]:
-    """Universal matrix with the three parameters left symbolic."""
-    beta, gamma, delta = TriPoly.beta(), TriPoly.gamma(), TriPoly.delta()
-    degs = g.degrees()
+def _integer_universal_matrix(g: Graph, p: ParamPoint) -> list[list[int]]:
+    """s * universal_matrix(g, p) at a rational point, s the lcm of its
+    denominators: an integer matrix of the same rank."""
+    s = lcm(p.beta.denominator, p.gamma.denominator, p.delta.denominator)
+    b, c, d = (x.numerator * (s // x.denominator) for x in (p.beta, p.gamma, p.delta))
     out = []
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            if i == j:
-                row.append(beta + gamma + delta * degs[i])
-            elif g.has_edge(i, j):
-                row.append(gamma + 1)
-            else:
-                row.append(gamma + 0)
+    for i, deg in enumerate(g.degrees()):
+        row = [s + c if g.has_edge(i, j) else c for j in range(g.n)]
+        row[i] = b + c + d * deg
         out.append(row)
     return out
 
@@ -142,6 +128,39 @@ def complement_params(g: Graph, p: ParamPoint) -> ParamPoint:
         -(p.gamma + 1),
         p.delta + 0,
     )
+
+
+class GraphFacts:
+    """Facts about one graph that several bound stages read.
+
+    The complement and the family matches are built on construction; the
+    Laplacian characteristic polynomial of each side is computed on first use.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.complement = g.complement()
+        self.matches = family_matches(g, self.complement)
+        self._laplacian_charpolys: dict[bool, Poly] = {}
+
+    def side(self, on_complement: bool) -> Graph:
+        return self.complement if on_complement else self.graph
+
+    def laplacian_charpoly(self, on_complement: bool) -> Poly:
+        if on_complement not in self._laplacian_charpolys:
+            lap = laplacian(self.side(on_complement))
+            self._laplacian_charpolys[on_complement] = charpoly(lap)
+        return self._laplacian_charpolys[on_complement]
+
+
+@lru_cache(maxsize=1)
+def graph_facts(g: Graph) -> GraphFacts:
+    """The facts of g, shared by the stages of one pass over it.
+
+    Graphs are immutable, so the facts of the graph last asked about are
+    kept and each is computed once however many stages read it.
+    """
+    return GraphFacts(g)
 
 
 # ---------------------------------------------------------------------------
@@ -254,49 +273,41 @@ def _forest_certificate(res: PathForestResult, on_complement: bool) -> Certifica
     )
 
 
-def _in_rank0_family(matches: list[FamilyMatch]) -> bool:
-    return any(m.kind in ("complete", "empty") for m in matches)
-
-
-def _in_rank1_family(matches: list[FamilyMatch]) -> bool:
-    return any(m.kind in ("two_cliques", "clique_plus_isolated") for m in matches)
-
-
 def mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certificate, bool]:
-    """Best certified lower bound; also reports whether searches were exhaustive."""
+    """The structural lower bound; also reports whether searches were exhaustive.
+
+    It takes the best of the path-forest, diameter and family-membership
+    bounds on both sides.  ``compute_mur`` may raise it further with a
+    minors combination, so its ``lower`` is the best certified lower bound.
+    """
     n = g.n
     if n == 0:
         return 0, Certificate("trivial"), True
-    matches = recognize_family(g)
+    facts = graph_facts(g)
     exhausted = False
-    best = 0
-    cert = Certificate("trivial")
-
-    def consider(value: int, c: Certificate):
-        nonlocal best, cert
-        if value > best:
-            best, cert = value, c
-
+    bounds = [(0, Certificate("trivial"))]
     for comp_side in (False, True):
-        side = g.complement() if comp_side else g
+        side = facts.side(comp_side)
         res = best_induced_path_forest(side, budget.search_nodes)
-        if not res.exact:
-            exhausted = True
+        exhausted = exhausted or not res.exact
         if res.witness is not None:
-            consider(res.witness.bound, _forest_certificate(res, comp_side))
+            bounds.append((res.witness.bound, _forest_certificate(res, comp_side)))
         d = diameter(side)
         if d != inf and d >= 2:
-            consider(int(d) - 1, Certificate("diameter", {"diameter": int(d), "on_complement": comp_side}))
-
-    if not _in_rank0_family(matches):
-        value = 1 if _in_rank1_family(matches) else 2
-        consider(value, Certificate("not_in_rank01_families", {"bound": value}))
+            cert = Certificate("diameter", {"diameter": int(d), "on_complement": comp_side})
+            bounds.append((int(d) - 1, cert))
+    kinds = {m.kind for m in facts.matches}
+    if not kinds & {"complete", "empty"}:  # outside the rank-0 families
+        value = 1 if kinds & {"two_cliques", "clique_plus_isolated"} else 2
+        bounds.append((value, Certificate("not_in_rank01_families", {"bound": value})))
+    best, cert = max(bounds, key=lambda b: b[0])  # the first of the highest
     return best, cert, exhausted
 
 
 # Degree-0 Nullstellensatz certificates (De Loera, Lee, Malkin & Margulies,
 # ISSAC 2008): if 1 is a rational combination of the k x k minors of the
-# symbolic universal matrix, no real or complex parameters give rank < k.
+# universal matrix, taken as polynomials in (beta, gamma, delta), no real or
+# complex parameters give rank < k.
 
 _PRIME = (1 << 61) - 1
 # Cap on the determinant work of one attempt, counted as k**3 per k x k
@@ -438,7 +449,8 @@ def _apex_family_value(r: int, s: int) -> Optional[int]:
 
 def family_mur(g: Graph) -> Optional[tuple[int, Certificate]]:
     """Exact value with a theorem-backed certificate, when a recognizer fires."""
-    matches = recognize_family(g)
+    facts = graph_facts(g)
+    matches = facts.matches
 
     def cert(match: FamilyMatch, value: int) -> Certificate:
         return Certificate(
@@ -464,8 +476,7 @@ def family_mur(g: Graph) -> Optional[tuple[int, Certificate]]:
                 return value, cert(m, value)
     for m in matches:
         if m.kind == "regular":
-            side = g.complement() if m.complemented else g
-            value = regular_mur(side)
+            value = regular_mur(facts.side(m.complemented))
             return value, cert(m, value)
     for m in matches:
         if m.kind == "path":
@@ -479,50 +490,35 @@ def family_mur(g: Graph) -> Optional[tuple[int, Certificate]]:
 # upper bounds
 
 
-def _laplacian_max_multiplicity(g: Graph) -> int:
-    """Maximum multiplicity among the nonzero Laplacian eigenvalues (connected g)."""
-    cp = charpoly(laplacian(g))
-    zeros, rest = root_multiplicity(cp, Fraction(0))
+def _laplacian_max_multiplicity(cp: Poly) -> int:
+    """Maximum multiplicity among the nonzero roots of a Laplacian charpoly."""
+    _, rest = root_multiplicity(cp, Fraction(0))
     if rest.degree < 1:
         return 0
     return max(e for _, e in squarefree_decomposition(rest))
 
 
-def structural_upper(g: Graph, use_families: bool = True) -> tuple[int, Certificate]:
-    """Best theorem-backed upper bound that needs no parameter search."""
+def structural_upper(g: Graph) -> tuple[int, Certificate]:
+    """Best order, component or Laplacian-multiplicity bound; no parameter search.
+
+    Family formulas are not consulted: ``compute_mur`` and ``mur_upper`` try
+    ``family_mur`` first.
+    """
     n = g.n
     if n == 0:
         return 0, Certificate("trivial")
-    if use_families:
-        fam = family_mur(g)
-        if fam is not None:
-            return fam
-    best = None
-    cert = None
-
-    def consider(value: int, c: Certificate):
-        nonlocal best, cert
-        if best is None or value < best:
-            best, cert = value, c
-
-    if n >= 2:
-        consider(n - 2, Certificate("order_bound", {}))
+    facts = graph_facts(g)
+    bounds = [(n - 2, Certificate("order_bound", {}))] if n >= 2 else []
     for comp_side in (False, True):
-        side = g.complement() if comp_side else g
-        c = components(side)[0]
-        consider(n - c, Certificate("component_bound", {"components": c, "on_complement": comp_side}))
+        c = components(facts.side(comp_side))[0]
+        cert = Certificate("component_bound", {"components": c, "on_complement": comp_side})
+        bounds.append((n - c, cert))
         if c == 1 and n >= 2:
-            m = _laplacian_max_multiplicity(side)
+            m = _laplacian_max_multiplicity(facts.laplacian_charpoly(comp_side))
             if m >= 1:
-                consider(
-                    n - m - 1,
-                    Certificate(
-                        "laplacian_multiplicity",
-                        {"multiplicity": m, "on_complement": comp_side},
-                    ),
-                )
-    assert best is not None
-    return best, cert
+                data = {"multiplicity": m, "on_complement": comp_side}
+                bounds.append((n - m - 1, Certificate("laplacian_multiplicity", data)))
+    return min(bounds, key=lambda b: b[0])  # the first of the lowest
 
 
 def _param_cert(p: ParamPoint, rank: int) -> Certificate:
@@ -540,20 +536,7 @@ def _param_cert(p: ParamPoint, rank: int) -> Certificate:
 def candidate_params(g: Graph, budget: Budget = DEFAULT_BUDGET) -> Iterator[ParamPoint]:
     """Deduplicated rational parameter points, structured ones first."""
     n = g.n
-    seen: set[tuple] = set()
-    emitted = 0
-
-    def emit(p: ParamPoint):
-        nonlocal emitted
-        key = (p.beta, p.gamma, p.delta)
-        if key in seen:
-            return None
-        seen.add(key)
-        emitted += 1
-        return p
-
-    def capped() -> bool:
-        return budget.max_candidates is not None and emitted >= budget.max_candidates
+    facts = graph_facts(g)
 
     def stream() -> Iterator[ParamPoint]:
         for preset in PRESETS:
@@ -578,18 +561,14 @@ def candidate_params(g: Graph, budget: Budget = DEFAULT_BUDGET) -> Iterator[Para
         # Laplacian-eigenvalue shifts, on the graph and (mapped back) on the
         # complement.
         for comp_side in (False, True):
-            side = g.complement() if comp_side else g
-            if side.n < 1:
-                continue
-            cp = charpoly(laplacian(side))
-            for lam in rational_roots(cp):
+            for lam in rational_roots(facts.laplacian_charpoly(comp_side)):
                 if lam == 0:
                     continue
                 for p in (
                     ParamPoint(lam, Fraction(-lam, n), Fraction(-1)),
                     ParamPoint(-lam, Fraction(lam, n), Fraction(1)),
                 ):
-                    yield complement_params(side, p) if comp_side else p
+                    yield complement_params(g, p) if comp_side else p
 
         # Reciprocal-of-order style points that close the near-path families.
         for m in (n - 1, n, n + 1):
@@ -619,12 +598,14 @@ def candidate_params(g: Graph, budget: Budget = DEFAULT_BUDGET) -> Iterator[Para
                 Fraction(rng.randint(-8, 8), rng.randint(1, 6)),
             )
 
+    seen: set[tuple] = set()
     for p in stream():
-        if capped():
+        if budget.max_candidates is not None and len(seen) >= budget.max_candidates:
             return
-        out = emit(p)
-        if out is not None:
-            yield out
+        key = (p.beta, p.gamma, p.delta)
+        if key not in seen:
+            seen.add(key)
+            yield p
 
 
 def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[AlgebraicContext, ParamPoint]]:
@@ -636,8 +617,7 @@ def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[AlgebraicContext, Par
     n = g.n
     if n == 0:
         return
-    cp = charpoly(laplacian(g))
-    _, rest = root_multiplicity(cp, Fraction(0))
+    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly(False), Fraction(0))
     if rest.degree < 1:
         return
     for factor, _ in squarefree_decomposition(rest):
@@ -667,35 +647,76 @@ def _alg_param_cert(ctx: AlgebraicContext, branch: Poly, p: ParamPoint, rank: in
     )
 
 
-def _refine_algebraic(g, lower, upper, ucert):
-    from .matrices import rank_algebraic
-
+def _algebraic_drops(g: Graph, upper: int) -> Iterator[tuple[int, Certificate]]:
+    """Each strict drop below ``upper`` at an irrational Laplacian-shift point."""
     for ctx, p in algebraic_eigen_candidates(g):
-        if upper <= lower:
-            break
         for branch, r in rank_algebraic(universal_matrix(g, p), ctx):
             if r < upper:
-                upper, ucert = r, _alg_param_cert(ctx, branch, p, r)
+                upper = r
+                yield upper, _alg_param_cert(ctx, branch, p, r)
+
+
+def _refine_algebraic(g, lower, upper, ucert):
+    """The lowest algebraic upper bound below ``upper``, stopping at ``lower``."""
+    for upper, ucert in _algebraic_drops(g, upper):
+        if upper <= lower:
+            break
     return upper, ucert
 
 
-def mur_upper(
-    g: Graph,
-    budget: Budget = DEFAULT_BUDGET,
-    stop_at: Optional[int] = None,
-    use_candidates: bool = True,
-) -> tuple[int, Certificate]:
-    """Best certified upper bound, refining structural bounds by search."""
-    best, cert = structural_upper(g)
-    if not use_candidates or (stop_at is not None and best <= stop_at):
-        return best, cert
+# Structured candidates often lower the bound twice in a row; a minors attempt
+# at the first drop must then fail, at the cost of thousands of candidates.
+_DROP_HOLD = 16
+
+
+def _upper_bounds(g: Graph, budget: Budget) -> Iterator[tuple[int, Certificate]]:
+    """Each improving certified upper bound, in the order the stages find them.
+
+    First the structural bound, then the candidate search's strict drops
+    that hold for ``_DROP_HOLD`` candidates (and its last), then every strict
+    drop of the algebraic refinement.
+
+    A candidate point is ranked only where U is singular: elsewhere its rank
+    is n > upper.  J has rank one, so det(B + t*J) = det(B) + t*(det(B + J) -
+    det(B)) for any B; two determinants per (beta, delta) thus decide
+    singularity for every gamma.
+    """
+    upper, cert = structural_upper(g)
+    yield upper, cert
+    dets = {}
+    held = None  # candidates seen since a drop not yet reported
     for p in candidate_params(g, budget):
-        r = rank_rational(universal_matrix(g, p))
-        if r < best:
-            best, cert = r, _param_cert(p, r)
-            if stop_at is not None and best <= stop_at:
-                break
-    return best, cert
+        if held is not None:
+            held += 1
+            if held > _DROP_HOLD:
+                yield upper, cert
+                held = None
+        key = (p.beta, p.delta)
+        if (entry := dets.get(key)) is None:
+            # s * U(beta, 0, delta) with integer entries, s the lcm of the denominators
+            m = _integer_universal_matrix(g, ParamPoint(p.beta, Fraction(0), p.delta))
+            d0 = det_int(m)
+            d1 = det_int([[x + 1 for x in row] for row in m]) - d0
+            entry = dets[key] = lcm(p.beta.denominator, p.delta.denominator), d0, d1
+        s, d0, d1 = entry
+        if d0 * p.gamma.denominator + s * p.gamma.numerator * d1:  # det(s * U) != 0
+            continue
+        r = rank_rational(_integer_universal_matrix(g, p))
+        if r < upper:
+            upper, cert, held = r, _param_cert(p, r), 0
+    if held is not None:
+        yield upper, cert
+    if budget.algebraic:
+        yield from _algebraic_drops(g, upper)
+
+
+def mur_upper(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certificate]:
+    """Best certified upper bound: a family value, else the search's last drop."""
+    fam = family_mur(g)
+    if fam is not None:
+        return fam
+    *_, last = _upper_bounds(g, budget)
+    return last
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +726,12 @@ def mur_upper(
 def compute_mur(
     g: Graph, budget: Budget = DEFAULT_BUDGET, use_families: bool = True
 ) -> MurResult:
-    """Certified interval (exact whenever the two bounds meet)."""
+    """Certified interval (exact whenever the two bounds meet).
+
+    A family formula settles the value at once.  Otherwise a minors
+    combination is tried at each upper bound ``_upper_bounds`` yields, and
+    the search stops as soon as the two bounds meet.
+    """
     n = g.n
     if n == 0:
         t = Certificate("trivial")
@@ -722,30 +748,15 @@ def compute_mur(
             lcert = Certificate("family_formula", dict(ucert.data))
             lower = value
         return MurResult(value, lcert, value, ucert, budget_exhausted=exhausted)
-    upper, ucert = structural_upper(g, use_families=use_families)
-    if lower > upper:
-        raise EngineError(f"bounds crossed: lower {lower} > upper {upper}")
-    if lower < upper:
-        # A minors certificate at the upper bound makes the search unnecessary.
+    for upper, ucert in _upper_bounds(g, budget):
+        if lower > upper:
+            raise EngineError(f"bounds crossed: lower {lower} > upper {upper}")
+        if lower == upper:
+            break
         mcert = minors_combination(g, upper)
         if mcert is not None:
             lower, lcert = upper, mcert
-    if lower < upper:
-        searched_from = upper
-        for p in candidate_params(g, budget):
-            r = rank_rational(universal_matrix(g, p))
-            if r < upper:
-                upper, ucert = r, _param_cert(p, r)
-                if upper <= lower:
-                    break
-        if lower < upper and budget.algebraic:
-            upper, ucert = _refine_algebraic(g, lower, upper, ucert)
-        if lower > upper:
-            raise EngineError("candidate rank fell below the certified lower bound")
-        if lower < upper < searched_from:
-            mcert = minors_combination(g, upper)
-            if mcert is not None:
-                lower, lcert = upper, mcert
+            break
     return MurResult(lower, lcert, upper, ucert, budget_exhausted=exhausted)
 
 

@@ -99,9 +99,14 @@ def _matches_one_side(g: Graph) -> list[FamilyMatch]:
 
 def recognize_family(g: Graph) -> list[FamilyMatch]:
     """All family matches on g and on its complement."""
+    return family_matches(g, g.complement())
+
+
+def family_matches(g: Graph, complement: Graph) -> list[FamilyMatch]:
+    """``recognize_family`` for a graph whose complement is already built."""
     out = list(_matches_one_side(g))
     out.extend(
         FamilyMatch(m.kind, m.params, complemented=True)
-        for m in _matches_one_side(g.complement())
+        for m in _matches_one_side(complement)
     )
     return out

@@ -66,9 +66,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
 
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.rows[v])
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.rows[u]) if u < v]
 

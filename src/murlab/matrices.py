@@ -1,9 +1,8 @@
 """Dense exact linear algebra.
 
-Rank over the rationals and over the trivariate parameter ring, integer
-determinants and square integer solves use fraction-free (Bareiss)
-elimination; rank over an algebraic extension uses straightforward
-elimination with dynamic splitting of the modulus.  Characteristic
+Rank over the rationals, integer determinants and square integer solves
+use fraction-free (Bareiss) elimination; rank over an algebraic extension
+uses straightforward elimination with dynamic splitting of the modulus.  Characteristic
 polynomials use the trace recursion.
 """
 
@@ -14,7 +13,6 @@ from math import gcd, lcm
 from typing import Optional
 
 from .algebraic import AlgebraicContext, AlgebraicNumber, SplitRequired
-from .multipoly import TriPoly
 from .polynomials import Poly
 
 Matrix = list  # list of rows; rows are lists of entries
@@ -34,14 +32,12 @@ def transpose(m):
 
 
 def _integer_rows(m) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank preserving)."""
+    """Scale each row of ints and Fractions by the lcm of its denominators
+    (rank preserving)."""
     out = []
     for row in m:
-        fracs = [Fraction(x) for x in row]
-        scale = 1
-        for x in fracs:
-            scale = lcm(scale, x.denominator)
-        out.append([int(x * scale) for x in fracs])
+        scale = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
     return out
 
 
@@ -136,39 +132,6 @@ def rank_rational(m) -> int:
     if nr == 0 or nc == 0:
         return 0
     return _bareiss_rank_int(_integer_rows(m))
-
-
-def rank_generic(m) -> int:
-    """Rank over the fraction field of the parameter ring Q[beta,gamma,delta].
-
-    Equals the maximum of the evaluated rank over all parameter points.
-    Pivots prefer low total degree to limit intermediate growth.
-    """
-    nr, nc = dimensions(m)
-    rows = [[e if isinstance(e, TriPoly) else TriPoly.constant(e) for e in row] for row in m]
-    r = 0
-    prev = TriPoly.constant(1)
-    for c in range(nc):
-        if r == nr:
-            break
-        best = None
-        for i in range(r, nr):
-            e = rows[i][c]
-            if not e.is_zero() and (best is None or e.total_degree() < rows[best][c].total_degree()):
-                best = i
-        if best is None:
-            continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            head = rows[i][c]
-            for j in range(c + 1, nc):
-                rows[i][j] = (piv * rows[i][j] - head * rows[r][j]).exact_div(prev)
-            rows[i][c] = TriPoly()
-        prev = piv
-        r += 1
-    return r
 
 
 def rank_algebraic(m, context: AlgebraicContext) -> list[tuple[Poly, int]]:
@@ -278,8 +241,3 @@ def in_column_space(m, v) -> bool:
         if r == nr:
             break
     return all(row[nc] == 0 for row in aug[r:])
-
-
-def evaluate_tri_matrix(m, beta, gamma, delta) -> Matrix:
-    """Evaluate a TriPoly matrix at a rational parameter point."""
-    return [[e.evaluate(beta, gamma, delta) for e in row] for row in m]

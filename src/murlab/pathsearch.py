@@ -1,7 +1,7 @@
-"""Exhaustive searches for induced paths and induced linear forests.
+"""Exhaustive search for induced linear forests.
 
-Both searches are exact branch-and-bound; when the node budget runs out
-the best witness found so far is returned with ``exact=False``.
+The search is exact branch-and-bound; when the node budget runs out the
+best witness found so far is returned with ``exact=False``.
 """
 
 from __future__ import annotations
@@ -11,13 +11,6 @@ from dataclasses import dataclass, field
 from .graphs import Graph, _bits
 
 DEFAULT_NODE_BUDGET = 10**6
-
-
-@dataclass
-class InducedPathResult:
-    length: int          # number of vertices, 0 for the empty graph
-    path: tuple[int, ...]
-    exact: bool
 
 
 @dataclass
@@ -40,41 +33,6 @@ class PathForestResult:
     @property
     def bound(self) -> int:
         return self.witness.bound if self.witness is not None else 0
-
-
-def longest_induced_path(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> InducedPathResult:
-    """Maximum vertex count of an induced path, with a witness."""
-    n = g.n
-    if n == 0:
-        return InducedPathResult(0, (), True)
-    best = 1
-    best_path = (0,)
-    budget = node_budget
-    full = (1 << n) - 1
-
-    def extend(path: list[int], in_path: int, blocked: int) -> None:
-        # blocked: vertices adjacent to an interior vertex (or on the path);
-        # only unblocked neighbors of the tail may extend the path.
-        nonlocal best, best_path, budget
-        if budget <= 0:
-            return
-        budget -= 1
-        if len(path) > best:
-            best = len(path)
-            best_path = tuple(path)
-        tail = path[-1]
-        candidates = g.rows[tail] & ~blocked
-        # Everything not blocked and not adjacent to the tail could still
-        # join later; a crude optimistic count prunes hopeless branches.
-        potential = len(path) + (full & ~blocked & ~(1 << tail)).bit_count()
-        if potential <= best:
-            return
-        for v in _bits(candidates):
-            extend(path + [v], in_path | 1 << v, blocked | g.rows[tail] | 1 << v)
-
-    for start in range(n):
-        extend([start], 1 << start, 1 << start)
-    return InducedPathResult(best, best_path, budget > 0)
 
 
 def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PathForestResult:

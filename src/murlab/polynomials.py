@@ -8,7 +8,8 @@ coefficient tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable
 
 
 def _coerce(c) -> Fraction:
@@ -29,10 +30,6 @@ class Poly:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
     def x(cls) -> "Poly":
         return cls((0, 1))
 
@@ -47,9 +44,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -153,12 +147,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
-
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
 
     @staticmethod
     def _as_poly(other) -> "Poly":
@@ -267,9 +255,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
     coeffs = p.coeffs[low:]
     if len(coeffs) == 1:
         return roots
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den_lcm) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in _divisors(a0):
@@ -278,12 +264,6 @@ def rational_roots(p: Poly) -> list[Fraction]:
                 if p(cand) == 0 and cand not in roots:
                     roots.append(cand)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:

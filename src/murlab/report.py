@@ -28,7 +28,7 @@ from .engine import (
     universal_matrix,
 )
 from .families import recognize_family
-from .graphs import Graph, components, diameter, encode_graph6, parse_graph6
+from .graphs import Graph, GraphError, components, diameter, encode_graph6, parse_graph6
 from .matrices import charpoly, det_int, rank_algebraic, rank_rational
 from .pathsearch import PathForestWitness, validate_path_forest
 from .polynomials import Poly, root_multiplicity
@@ -95,7 +95,10 @@ def report_to_json(doc: dict) -> str:
 
 
 def parse_report(text: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ReportError("document nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ReportError(f"not a {FORMAT} document")
     return doc
@@ -153,7 +156,15 @@ def _replay_lower(g: Graph, cert: dict) -> tuple[Optional[int], str]:
     return None, f"unknown lower certificate kind {kind!r}"
 
 
-_WEIGHT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(s) -> Fraction:
+    """A coefficient written as an integer or p/q; anything else (an
+    exponent such as "1e999999999" included) is unreadable."""
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"coefficient {s!r} is not a rational")
+    return Fraction(s)
 
 
 def _is_index_set(idx, n: int, k: int) -> bool:
@@ -179,12 +190,7 @@ def _replay_minor_combination(g: Graph, data: dict) -> tuple[Optional[int], str]
         rows, cols, weight = m.get("rows"), m.get("cols"), m.get("weight")
         if not (_is_index_set(rows, g.n, k) and _is_index_set(cols, g.n, k)):
             return None, f"minor index sets {rows!r}, {cols!r} are not {k} distinct vertices"
-        if not isinstance(weight, str) or not _WEIGHT.fullmatch(weight):
-            return None, f"minor weight {weight!r} is not a rational"
-        try:
-            terms.append((rows, cols, Fraction(weight)))
-        except ZeroDivisionError:
-            return None, f"minor weight {weight!r} has a zero denominator"
+        terms.append((rows, cols, _rational(weight)))
     for mat in minor_matrices(g, k):
         total = sum(
             w * det_int([[mat[r][c] for c in cols] for r in rows]) for rows, cols, w in terms
@@ -196,12 +202,12 @@ def _replay_minor_combination(g: Graph, data: dict) -> tuple[Optional[int], str]
 
 def _parse_point(data: dict) -> ParamPoint:
     return ParamPoint(
-        Fraction(data["beta"]), Fraction(data["gamma"]), Fraction(data["delta"])
+        _rational(data["beta"]), _rational(data["gamma"]), _rational(data["delta"])
     )
 
 
 def _replay_algebraic_params(g: Graph, data: dict) -> tuple[Optional[int], str]:
-    branch = Poly([Fraction(c) for c in data["branch"]])
+    branch = Poly([_rational(c) for c in data["branch"]])
     if data.get("source") != "laplacian_eigenvalue":
         return None, "algebraic certificate without an eigenvalue provenance"
     cp = charpoly(laplacian(g))
@@ -213,7 +219,7 @@ def _replay_algebraic_params(g: Graph, data: dict) -> tuple[Optional[int], str]:
     ctx = AlgebraicContext(branch)
     scalars = []
     for key in ("beta", "gamma", "delta"):
-        rep = Poly([Fraction(c) for c in data[key]])
+        rep = Poly([_rational(c) for c in data[key]])
         scalars.append(ctx.element(rep))
     p = ParamPoint(*scalars)
     branches = rank_algebraic(universal_matrix(g, p), ctx)
@@ -241,7 +247,7 @@ def _replay_upper(g: Graph, cert: dict) -> tuple[Optional[int], str]:
         side = _side(g, data)
         if components(side)[0] != 1:
             return None, "laplacian bound needs a connected side"
-        m = _laplacian_max_multiplicity(side)
+        m = _laplacian_max_multiplicity(charpoly(laplacian(side)))
         if m != data["multiplicity"]:
             return None, f"recomputed multiplicity {m} != {data['multiplicity']}"
         return n - m - 1, ""
@@ -260,11 +266,60 @@ def _replay_upper(g: Graph, cert: dict) -> tuple[Optional[int], str]:
     return None, f"unknown upper certificate kind {kind!r}"
 
 
+def _check_shape(doc) -> None:
+    """Raise ReportError unless every field replay reads outside the
+    certificates' data is present, with a type replay can use."""
+
+    def has(obj, *keys) -> bool:
+        return isinstance(obj, dict) and all(k in obj for k in keys)
+
+    def is_edge(e) -> bool:
+        return isinstance(e, list) and len(e) == 2 and all(type(i) is int for i in e)
+
+    if not isinstance(doc, dict):
+        raise ReportError(f"a {FORMAT} document must be an object")
+    graph, res = doc.get("graph"), doc.get("result")
+    parts = {
+        "graph": has(graph, "graph6", "order", "edges")
+        and isinstance(graph["graph6"], str)
+        and isinstance(graph["edges"], list)
+        and all(map(is_edge, graph["edges"])),
+        "result": has(res, "lower", "upper", "exact", "value")
+        and type(res["lower"]) is int
+        and type(res["upper"]) is int,
+        # The deleted graph's report carries no spread of its own.
+        "spread": "spread" not in doc
+        or has(doc["spread"], "lower", "upper", "deleted")
+        and not has(doc["spread"]["deleted"], "spread"),
+    }
+    for key in ("lower_certificate", "upper_certificate"):
+        parts[key] = has(doc.get(key), "kind", "data") and isinstance(doc[key]["data"], dict)
+    for what, ok in parts.items():
+        if not ok:
+            raise ReportError(f"malformed {FORMAT} document: bad or missing {what}")
+
+
+def _replay_certificate(replay, g: Graph, cert: dict) -> tuple[Optional[int], str]:
+    """One certificate's replay; data it cannot read is a failed check."""
+    try:
+        return replay(g, cert)
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        return None, f"unreadable certificate data: {type(exc).__name__}: {exc}"
+
+
 def replay_report(doc: dict) -> list[ReplayCheck]:
-    """Re-check every certificate in a report document."""
+    """Re-check every certificate in a report document.
+
+    A document without the fields replay needs raises ReportError; a
+    certificate whose data cannot be read or re-derived fails its check.
+    """
+    _check_shape(doc)
     checks = []
     gdesc = doc["graph"]
-    g = parse_graph6(gdesc["graph6"])
+    try:
+        g = parse_graph6(gdesc["graph6"])
+    except GraphError as exc:
+        raise ReportError(f"malformed {FORMAT} document: {exc}") from None
     same = g.n == gdesc["order"] and sorted(g.edges()) == sorted(
         tuple(e) for e in gdesc["edges"]
     )
@@ -273,7 +328,7 @@ def replay_report(doc: dict) -> list[ReplayCheck]:
     lower, upper = res["lower"], res["upper"]
     ok = 0 <= lower <= upper
     checks.append(ReplayCheck("bounds ordered", ok, f"[{lower}, {upper}]"))
-    value, msg = _replay_lower(g, doc["lower_certificate"])
+    value, msg = _replay_certificate(_replay_lower, g, doc["lower_certificate"])
     checks.append(
         ReplayCheck(
             "lower certificate",
@@ -281,7 +336,7 @@ def replay_report(doc: dict) -> list[ReplayCheck]:
             msg or f"certified {value}, claimed {lower}",
         )
     )
-    value, msg = _replay_upper(g, doc["upper_certificate"])
+    value, msg = _replay_certificate(_replay_upper, g, doc["upper_certificate"])
     checks.append(
         ReplayCheck(
             "upper certificate",

@@ -2,8 +2,9 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from murlab import engine
 from murlab.engine import (
     Budget,
     EngineError,
@@ -30,6 +31,7 @@ from murlab.graphs import (
     disjoint_union,
     empty,
     p_prime,
+    parse_graph6,
     path,
     petersen,
     star,
@@ -185,6 +187,33 @@ def test_rank_never_below_computed_lower(g, data):
         assert rank_rational(universal_matrix(g, p)) >= lo
 
 
+@settings(max_examples=40, deadline=None)
+@given(graphs_strategy(7))
+@example(parse_graph6("FJyG_"))  # two drops far apart: both reported
+@example(parse_graph6("FaO`G"))  # a drop beaten 4 candidates later: not reported
+def test_search_matches_ranking_every_candidate(g):
+    # The search ranks exactly the candidates where U is singular, and reports
+    # a drop once it has held for _DROP_HOLD candidates.
+    upper, _ = engine.structural_upper(g)
+    singular, drops = 0, []  # drops: (position, rank, certificate)
+    for i, p in enumerate(candidate_params(g, FAST)):
+        r = rank_rational(universal_matrix(g, p))
+        singular += r < g.n
+        if r < upper:
+            upper = r
+            drops.append((i, r, engine._param_cert(p, r)))
+    ends = [i for i, _, _ in drops[1:]] + [float("inf")]
+    held = [(r, c) for (i, r, c), end in zip(drops, ends) if end - i > engine._DROP_HOLD]
+    ranked = []
+    original = engine.rank_rational
+    engine.rank_rational = lambda m: ranked.append(m) or original(m)
+    try:
+        assert list(engine._upper_bounds(g, FAST))[1:] == held
+    finally:
+        engine.rank_rational = original
+    assert len(ranked) == singular
+
+
 def test_minors_combination_only_where_rank_is_forced():
     assert minors_combination(p_prime(4), 3).data["k"] == 3
     assert minors_combination(p_prime(5), 4).data["k"] == 4
@@ -192,6 +221,21 @@ def test_minors_combination_only_where_rank_is_forced():
     # common zero, so no certificate may exist
     assert minors_combination(p_prime(6), 5) is None
     assert minors_combination(cycle(5), 3) is None
+
+
+def test_minors_certificate_stops_the_search(monkeypatch):
+    # The search reaches rank 3 within the structured candidates, where a
+    # minors combination certifies 3; the other ~12k points must not be tried.
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return rank_rational(m)
+
+    monkeypatch.setattr(engine, "rank_rational", counted)
+    res = compute_mur(parse_graph6("Fj[??"), Budget())
+    assert res.value == 3 and res.lower_cert.kind == "minor_combination"
+    assert len(calls) < 100
 
 
 def test_spread_bounds_formula():

@@ -4,16 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from murlab.algebraic import AlgebraicContext
-from murlab.engine import symbolic_universal_matrix
-from murlab.graphs import complete, empty, path
+from murlab.graphs import complete
 from murlab.matrices import (
     charpoly,
     det_int,
-    evaluate_tri_matrix,
     in_column_space,
     mat_mul,
     rank_algebraic,
-    rank_generic,
     rank_rational,
     solve_int,
     transpose,
@@ -44,18 +41,6 @@ def test_rank_shifted_path_matrix():
 
 def test_rank_empty_matrix():
     assert rank_rational([]) == 0
-
-
-def test_generic_rank_triangle():
-    assert rank_generic(symbolic_universal_matrix(complete(3))) == 3
-
-
-def test_generic_rank_empty_graph():
-    assert rank_generic(symbolic_universal_matrix(empty(4))) == 4
-
-
-def test_generic_rank_path():
-    assert rank_generic(symbolic_universal_matrix(path(3))) == 3
 
 
 def test_rank_algebraic_rational_embedding():
@@ -166,43 +151,6 @@ def test_charpoly_degree_accounting(m):
     cp = charpoly(m)
     total = sum(g.degree * e for g, e in squarefree_decomposition(cp))
     assert total == len(m)
-
-
-@settings(max_examples=30)
-@given(st.data())
-def test_evaluated_rank_below_generic(data):
-    from murlab.graphs import Graph
-
-    n = data.draw(st.integers(1, 5))
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if data.draw(st.booleans())
-    ]
-    g = Graph.from_edges(n, edges)
-    sym = symbolic_universal_matrix(g)
-    generic = rank_generic(sym)
-    fr = st.fractions(min_value=-8, max_value=8, max_denominator=4)
-    point = (data.draw(fr), data.draw(fr), data.draw(fr))
-    assert rank_rational(evaluate_tri_matrix(sym, *point)) <= generic
-
-
-def test_generic_rank_attained_at_some_point():
-    import random
-
-    from murlab.graphs import cycle
-
-    sym = symbolic_universal_matrix(cycle(5))
-    generic = rank_generic(sym)
-    rng = random.Random(7)
-    attained = False
-    for _ in range(20):
-        point = [Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(3)]
-        if rank_rational(evaluate_tri_matrix(sym, *point)) == generic:
-            attained = True
-            break
-    assert attained
 
 
 @settings(max_examples=25)

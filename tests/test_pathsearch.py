@@ -3,22 +3,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from murlab.graphs import Graph, complete, cycle, diameter, disjoint_union, empty, path
-from murlab.pathsearch import (
-    best_induced_path_forest,
-    longest_induced_path,
-    validate_path_forest,
-)
-
-
-def brute_longest_induced_path(g):
-    best = 1 if g.n else 0
-    for size in range(2, g.n + 1):
-        for verts in combinations(range(g.n), size):
-            sub = g.induced_subgraph(verts)
-            degs = sorted(sub.degrees())
-            if degs == [1, 1] + [2] * (size - 2) and _connected(sub):
-                best = max(best, size)
-    return best
+from murlab.pathsearch import best_induced_path_forest, validate_path_forest
 
 
 def brute_best_forest(g):
@@ -42,23 +27,10 @@ def brute_best_forest(g):
     return best
 
 
-def _connected(g):
-    from murlab.graphs import components
-
-    return g.n == 0 or components(g)[0] == 1
-
-
 def _component_sizes(g):
     from murlab.graphs import components
 
     return [len(p) for p in components(g)[1]]
-
-
-def test_longest_path_examples():
-    assert longest_induced_path(path(5)).length == 5
-    assert longest_induced_path(cycle(6)).length == 5
-    assert longest_induced_path(complete(5)).length == 2
-    assert longest_induced_path(empty(0)).length == 0
 
 
 def test_forest_examples():
@@ -69,9 +41,9 @@ def test_forest_examples():
 
 
 def test_budget_exhaustion_is_flagged():
-    res = longest_induced_path(cycle(9), node_budget=3)
+    res = best_induced_path_forest(cycle(9), node_budget=3)
     assert not res.exact
-    assert res.length >= 1
+    assert best_induced_path_forest(cycle(9)).exact
 
 
 def graphs_strategy(max_n=6):
@@ -80,12 +52,6 @@ def graphs_strategy(max_n=6):
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n
         ).map(lambda pairs: Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
     )
-
-
-@settings(max_examples=60)
-@given(graphs_strategy())
-def test_longest_path_matches_brute_force(g):
-    assert longest_induced_path(g).length == brute_longest_induced_path(g)
 
 
 @settings(max_examples=60)
@@ -103,11 +69,13 @@ def test_forest_matches_brute_force(g):
 @settings(max_examples=40)
 @given(graphs_strategy(7))
 def test_diameter_below_longest_path(g):
+    # A shortest path realising the diameter is an induced path, and a single
+    # induced path on d + 1 vertices is a forest of bound d - 1.
     from murlab.graphs import components
 
     if components(g)[0] != 1:
         return
-    assert diameter(g) <= longest_induced_path(g).length - 1 or g.n == 1
+    assert diameter(g) - 1 <= best_induced_path_forest(g).bound
 
 
 def test_witness_validation_rejects_garbage():

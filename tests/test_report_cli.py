@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from murlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from murlab.engine import Budget, compute_mur, mur_spread
+from murlab.engine import Budget, MurResult, _algebraic_drops, compute_mur, mur_spread
 from murlab.graphs import Graph, cycle, disjoint_union, encode_graph6, p_prime, path, complete
 from murlab.report import (
     FORMAT,
@@ -24,6 +24,17 @@ def make_report(g, spread_vertex=None):
     return build_report(g, res, FAST, 0.1, spread)
 
 
+def report_with_beta(beta):
+    """A C5 report whose upper bound 5 is certified at (beta, 0, 0)."""
+    doc = make_report(cycle(5))
+    doc["result"].update(upper=5, exact=False, value=None)
+    doc["upper_certificate"] = {
+        "kind": "explicit_params",
+        "data": {"beta": beta, "gamma": "0", "delta": "0", "rank": 5},
+    }
+    return doc
+
+
 def test_report_roundtrip():
     doc = make_report(cycle(6))
     parsed = parse_report(report_to_json(doc))
@@ -37,6 +48,18 @@ def test_parse_rejects_other_documents():
         parse_report("{}")
     with pytest.raises(ValueError):
         parse_report("not json")
+    with pytest.raises(ReportError):
+        replay_report({"format": FORMAT})
+    doc = make_report(cycle(5))
+    doc["graph"]["graph6"] = "!"
+    with pytest.raises(ReportError):
+        replay_report(doc)
+    with pytest.raises(ReportError):
+        parse_report("[" * 100_000 + "]" * 100_000)
+    doc = make_report(path(5), spread_vertex=0)
+    doc["spread"]["deleted"]["spread"] = doc["spread"]
+    with pytest.raises(ReportError):
+        replay_report(doc)
 
 
 def test_replay_passes_on_fresh_reports():
@@ -62,6 +85,24 @@ def test_replay_catches_tampering():
     doc["upper_certificate"]["data"]["value"] = 2
     checks = replay_report(doc)
     assert any(not c.ok for c in checks)
+
+    assert all(c.ok for c in replay_report(report_with_beta("-1")))
+    for beta in ("1/0", "1e999999999", "x", None, [1]):
+        check = next(c for c in replay_report(report_with_beta(beta)) if c.name == "upper certificate")
+        assert not check.ok and check.message
+
+
+@pytest.mark.parametrize("key", ["branch", "beta", "gamma", "delta"])
+def test_replay_rejects_unreadable_algebraic_coefficients(key):
+    """P'6 with the rank at its first irrational Laplacian-shift point."""
+    g = p_prime(6)
+    res = compute_mur(g, FAST)
+    upper, ucert = next(_algebraic_drops(g, g.n))
+    doc = build_report(g, MurResult(res.lower, res.lower_cert, upper, ucert), FAST, 0.1)
+    assert all(c.ok for c in replay_report(doc))
+    doc["upper_certificate"]["data"][key][0] = "1e999999999"
+    check = next(c for c in replay_report(doc) if c.name == "upper certificate")
+    assert not check.ok and "not a rational" in check.message
 
 
 @pytest.mark.parametrize(
@@ -189,6 +230,11 @@ def test_cli_replay(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "replay", str(f))
     assert code == EXIT_VERIFY
 
-    f.write_text("{}")
-    code, _, err = run_cli(capsys, "replay", str(f))
-    assert code == EXIT_USAGE
+    f.write_text(report_to_json(report_with_beta("1/0")))
+    code, out, _ = run_cli(capsys, "replay", str(f))
+    assert code == EXIT_VERIFY and "FAIL  upper certificate" in out
+
+    for text in ("{}", json.dumps({"format": FORMAT})):
+        f.write_text(text)
+        code, _, err = run_cli(capsys, "replay", str(f))
+        assert code == EXIT_USAGE and "error" in err
