@@ -73,14 +73,16 @@ def cmd_mur(args) -> int:
         g = g.complement()
     budget = _budget_from_args(args)
     start = time.monotonic()
-    res = compute_mur(g, budget)
     spread = None
-    if args.spread is not None:
+    if args.spread is None:
+        res = compute_mur(g, budget)
+    else:
         try:
             spread = mur_spread(g, args.spread, budget)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        res = spread.whole
     elapsed = time.monotonic() - start
     if args.json:
         print(report_to_json(build_report(g, res, budget, elapsed, spread)))

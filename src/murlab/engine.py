@@ -109,13 +109,10 @@ def _integer_universal_matrix(g: Graph, p: ParamPoint) -> list[list[int]]:
     return out
 
 
-def laplacian(g: Graph) -> list[list[Fraction]]:
+def laplacian(g: Graph) -> list[list[int]]:
     degs = g.degrees()
     return [
-        [
-            Fraction(degs[i]) if i == j else Fraction(-1 if g.has_edge(i, j) else 0)
-            for j in range(g.n)
-        ]
+        [degs[i] if i == j else -1 if g.has_edge(i, j) else 0 for j in range(g.n)]
         for i in range(g.n)
     ]
 
@@ -419,7 +416,7 @@ def regular_mur(g: Graph) -> int:
     if any(d != r for d in degs):
         raise EngineError("regular_mur requires a regular graph")
     n = g.n
-    adj = [[Fraction(1 if g.has_edge(i, j) else 0) for j in range(n)] for i in range(n)]
+    adj = [[int(g.has_edge(i, j)) for j in range(n)] for i in range(n)]
     cp = charpoly(adj)
     c = components(g)[0]
     mult_r, rest = root_multiplicity(cp, Fraction(r))

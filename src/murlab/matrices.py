@@ -1,15 +1,17 @@
 """Dense exact linear algebra.
 
-Rank over the rationals, integer determinants and square integer solves
-use fraction-free (Bareiss) elimination; rank over an algebraic extension
-uses straightforward elimination with dynamic splitting of the modulus.  Characteristic
-polynomials use the trace recursion.
+Ranks over the rationals and characteristic polynomials are computed over
+the integers, after scaling away the denominators: ranks, determinants and
+square solves by fraction-free (Bareiss) elimination, characteristic
+polynomials by Berkowitz's division-free recursion.  Rank over an algebraic
+extension uses straightforward elimination with dynamic splitting of the
+modulus.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from .algebraic import AlgebraicContext, AlgebraicNumber, SplitRequired
@@ -180,10 +182,6 @@ def rank_algebraic(m, context: AlgebraicContext) -> list[tuple[Poly, int]]:
     return sorted(branches, key=lambda br: (br[0].degree, br[0].coeffs))
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b) -> Matrix:
     ra, ca = dimensions(a)
     rb, cb = dimensions(b)
@@ -193,26 +191,32 @@ def mat_mul(a, b) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def trace(m) -> Fraction:
-    return sum(m[i][i] for i in range(len(m)))
-
-
 def charpoly(m) -> Poly:
-    """Monic characteristic polynomial det(xI - m) by the trace recursion."""
+    """Monic characteristic polynomial det(xI - m) by Berkowitz's recursion.
+
+    The entries are scaled once to integers, b = s m with s the lcm of their
+    denominators, and the division-free recursion runs on b over the
+    integers.  The coefficient of x^(n-k) in det(xI - m) is then that of
+    det(xI - b) divided by s^k.
+    """
     nr, nc = dimensions(m)
     if nr != nc:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = nr
-    a = [[Fraction(x) for x in row] for row in m]
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    work = identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, work)
-        ck = -trace(am) / k
-        coeffs[n - k] = ck
-        if k < n:
-            work = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    return Poly(coeffs)
+    s = lcm(*(x.denominator for row in m for x in row))
+    b = [[x.numerator * (s // x.denominator) for x in row] for row in m]
+    c = [1]  # det(xI - b_r) for the leading r x r block b_r, highest degree first
+    for r in range(nr):
+        # With b_{r+1} = [[b_r, v], [w, b[r][r]]], det(xI - b_{r+1}) is the
+        # product of c with t = (1, -b[r][r], -w v, -w b_r v, ..., -w b_r^(r-1) v),
+        # truncated to degree r + 1.
+        rows = [[(j, x) for j, x in enumerate(b[i][:r]) if x] for i in range(r + 1)]
+        v = [b[i][r] for i in range(r)]
+        t = [1, -b[r][r]]
+        for _ in range(r):
+            t.append(-sum(x * v[j] for j, x in rows[r]))
+            v = [sum(x * v[j] for j, x in row) for row in rows[:r]]
+        c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return Poly(Fraction(c[k], s**k) for k in range(nr, -1, -1))
 
 
 def in_column_space(m, v) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from murlab.algebraic import AlgebraicContext
+from murlab.engine import laplacian
 from murlab.graphs import complete
 from murlab.matrices import (
     charpoly,
@@ -88,6 +89,55 @@ def test_charpoly_nonsquare_rejected():
         charpoly([[1, 2, 3], [4, 5, 6]])
 
 
+def test_charpoly_complete_laplacian():
+    # L(K12) = 12 I - J has eigenvalue 0 once and 12 eleven times
+    expected = Poly.x()
+    for _ in range(11):
+        expected = expected * Poly.x_minus(12)
+    assert charpoly(laplacian(complete(12))) == expected
+
+
+def fraction_det(m):
+    """Determinant by plain Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            factor = a[i][c] / a[c][c]
+            for j in range(c, n):
+                a[i][j] -= factor * a[c][j]
+    return det
+
+
+rational_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=60)
+@given(rational_matrices)
+def test_charpoly_matches_determinants(m):
+    # A monic polynomial of degree n is fixed by its values at n + 1 points.
+    n = len(m)
+    cp = charpoly(m)
+    assert cp.degree == n and cp.leading() == 1
+    for x0 in range(-3, n - 2):
+        shifted = [[x0 * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
+        assert cp(x0) == fraction_det(shifted)
+
+
 def test_column_space_examples():
     assert in_column_space([[1, 0], [0, 1]], [5, -7])
     L_P2 = [[1, -1], [-1, 1]]
@@ -116,7 +166,7 @@ int_matrices = st.integers(1, 5).flatmap(
 @given(int_matrices, st.data())
 def test_det_and_solve_int(m, data):
     n = len(m)
-    # the constant term of det(xI - m) is det(-m), computed by the trace recursion
+    # the constant term of det(xI - m) is det(-m), computed by Berkowitz's recursion
     assert det_int(m) == (-1) ** n * charpoly(m).coeffs[0]
     b = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     x = solve_int(m, b)

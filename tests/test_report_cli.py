@@ -156,16 +156,35 @@ def test_cli_mur_edge_list_file(tmp_path, capsys):
     assert "mur = 2 (exact)" in out
 
 
-def test_cli_mur_json_and_spread(capsys):
+def test_cli_mur_json_and_spread(capsys, monkeypatch):
+    import murlab.cli
+    import murlab.engine
+
+    orders = []
+
+    def counted(g, *args, **kwargs):
+        orders.append(g.n)
+        return compute_mur(g, *args, **kwargs)
+
+    monkeypatch.setattr(murlab.engine, "compute_mur", counted)
+    monkeypatch.setattr(murlab.cli, "compute_mur", counted)
     code, out, _ = run_cli(
         capsys, "mur", encode_graph6(path(5)), "--json", "--spread", "0",
         "--no-algebraic",
     )
     assert code == EXIT_OK
+    # mur(G) is computed once, for the whole graph and the spread together
+    assert orders == [5, 4]
     doc = parse_report(out)
     assert doc["result"]["value"] == 3
     assert doc["spread"]["vertex"] == 0 and doc["spread"]["lower"] == 1
     assert all(c.ok for c in replay_report(doc))
+
+    # an out-of-range vertex is rejected before any computation
+    orders.clear()
+    code, _, err = run_cli(capsys, "mur", encode_graph6(path(5)), "--spread", "5")
+    assert code == EXIT_USAGE and "out of range" in err
+    assert orders == []
 
 
 def test_cli_mur_json_replays_minor_combination(tmp_path, capsys):
