@@ -12,9 +12,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import inf, lcm
-from typing import Iterator, Optional, Union
+from itertools import combinations, islice
+from math import comb, gcd, inf, lcm
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebraic import AlgebraicContext, AlgebraicNumber
 from .families import FamilyMatch, family_matches
@@ -327,60 +328,132 @@ def minor_points(k: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def minor_matrices(g: Graph, k: int) -> list[list[list[int]]]:
-    """The universal matrix at each of the points ``minor_points(k)``.
+# Largest sub-minor tables, in values stored, that ``minor_values`` builds:
+# sum over j < k of C(n, j) * (k+1)(k+2).  It covers every order on up to
+# nine vertices; beyond it the tables cost more than they save.
+_MINOR_TABLE_CELLS = 1 << 16
 
-    The points are integers, so the entries are plain ints.
+IndexSet = Sequence[int]
+
+
+def minor_values(
+    g: Graph, k: int, pairs: Iterable[tuple[IndexSet, IndexSet]]
+) -> Iterator[tuple[IndexSet, IndexSet, list[int]]]:
+    """(rows, cols, values) for each pair, values the k x k minor of the
+    universal matrix on rows x cols (in the order given) at each point of
+    ``minor_points(k)``.
+
+    Within the cell budget the minors come from sub-minor tables, one per
+    row prefix: det U[R, C] is expanded along the last row of R, and the
+    (k-1)-minors of R[:-1] are read from that prefix's table, kept while
+    consecutive pairs share the prefix.  Each table entry is a list over all
+    the points, so one list operation replaces a determinant per point.
+    Larger orders take an integer determinant at each point.
     """
-    return [universal_matrix(g, ParamPoint(b, c, d)) for b, c, d in minor_points(k)]
+    mats = [universal_matrix(g, ParamPoint(b, c, d)) for b, c, d in minor_points(k)]
+    cells = sum(comb(g.n, j) for j in range(k)) * len(mats)
+    if k == 0 or cells > _MINOR_TABLE_CELLS:
+        for rows, cols in pairs:
+            yield rows, cols, [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
+        return
+    entries = [[[m[i][j] for m in mats] for j in range(g.n)] for i in range(g.n)]
+    tables: list[dict] = [{} for _ in range(k)]  # tables[j]: j-minors of prefix[:j]
+    prefix: tuple = ()
+    for rows, cols in pairs:
+        if tuple(rows) != prefix:
+            # tables[j] stays valid while rows[:j] is unchanged
+            same = next((j for j, (a, b) in enumerate(zip(prefix, rows)) if a != b), k)
+            for table in tables[same + 1:]:
+                table.clear()
+            prefix = tuple(rows)
+        yield rows, cols, _expand_minor(entries, tables, prefix, tuple(cols))
+
+
+def _expand_minor(entries, tables, rows, cols) -> list[int]:
+    """det U[rows[:j], cols] at every point, j = len(cols), by expansion
+    along row rows[j-1]; (j-1)-minors are memoized in ``tables[j-1]``."""
+    j = len(cols)
+    row = entries[rows[j - 1]]
+    if j == 1:
+        return row[cols[0]]
+    sub_table = tables[j - 1]
+    acc = None
+    for t, c in enumerate(cols):
+        sub_cols = cols[:t] + cols[t + 1:]
+        sub = sub_table.get(sub_cols)
+        if sub is None:
+            sub = sub_table[sub_cols] = _expand_minor(entries, tables, rows, sub_cols)
+        e = row[c]
+        # the cofactor sign of entry (j-1, t) is (-1)**(j-1+t)
+        if acc is None:
+            acc = list(map(mul, e, sub)) if j % 2 else [-x * y for x, y in zip(e, sub)]
+        elif (j - 1 + t) % 2:
+            acc = [a - x * y for a, x, y in zip(acc, e, sub)]
+        else:
+            acc = [a + x * y for a, x, y in zip(acc, e, sub)]
+    return acc
 
 
 def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     """A certificate that mur(g) >= k, or None if none was found.
 
-    The minors are evaluated as integer determinants on ``minor_points(k)``.
+    The minors are evaluated on ``minor_points(k)`` by ``minor_values``.
     Independent ones are picked by elimination modulo a prime until the
     all-ones vector lies in their span; the weights are then solved for
     exactly from those minors alone and the identity is checked on every
     point, so a failure anywhere only means no certificate.
     """
-    mats = minor_matrices(g, k)
+    npoints = (k + 1) * (k + 2)
     subsets = list(combinations(range(g.n), k))
-    work_left = _MINOR_STAGE_WORK
-    basis: list[tuple[int, list[int]]] = []  # (pivot point, reduced vector)
+    # U is symmetric, so minor(R, C) == minor(C, R): take R <= C only.  Each
+    # pair costs npoints * k**3 of the work cap, charged before it is tried.
+    pairs = ((rows, cols) for i, rows in enumerate(subsets) for cols in subsets[i:])
+    pairs = islice(pairs, -(-_MINOR_STAGE_WORK // max(npoints * k**3, 1)))
+    # The chosen minors' value vectors modulo the prime, kept in reduced
+    # echelon form: pivots[i] is the pivot point of the i-th, and
+    # basis[j][i] its entry at the free point free[j].  A vector is then in
+    # their span exactly when its residual at every free point is zero, and
+    # its first nonzero residual is where sequential reduction would pivot.
+    pivots: list[int] = []
+    free = list(range(npoints))
+    basis: list[list[int]] = [[] for _ in free]
     chosen: list[tuple[tuple[int, ...], tuple[int, ...], list[int]]] = []
-    target = [1] * len(mats)
-    # U is symmetric, so minor(R, C) == minor(C, R): take R <= C only.
-    for i, rows in enumerate(subsets):
-        for cols in subsets[i:]:
-            if work_left <= 0:
-                return None
-            work_left -= len(mats) * k**3
-            values = [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
-            v = [x % _PRIME for x in values]
-            for piv, b in basis:
-                f = v[piv]
-                if f:
-                    v = [(x - f * y) % _PRIME for x, y in zip(v, b)]
-            piv = next((j for j, x in enumerate(v) if x), None)
-            if piv is None:
-                continue
-            inv = pow(v[piv], _PRIME - 2, _PRIME)
-            v = [x * inv % _PRIME for x in v]
-            basis.append((piv, v))
-            chosen.append((rows, cols, values))
-            f = target[piv]
-            if f:
-                target = [(x - f * y) % _PRIME for x, y in zip(target, v)]
-            if not any(target):
-                return _solve_minor_weights(k, basis, chosen)
+    target = [1] * npoints  # residual of the all-ones vector at the free points
+    seen = set()  # value vectors tried, up to scaling: a multiple is dependent
+    for rows, cols, values in minor_values(g, k, pairs):
+        scale = gcd(*values)
+        if not scale:
+            continue
+        if next(x for x in values if x) < 0:
+            scale = -scale
+        key = tuple([x // scale for x in values])
+        if key in seen:
+            continue
+        seen.add(key)
+        head = [values[p] for p in pivots]
+        res = [(values[q] - sum(map(mul, head, col))) % _PRIME for q, col in zip(free, basis)]
+        j = next((j for j, x in enumerate(res) if x), None)
+        if j is None:
+            continue
+        inv = pow(res[j], _PRIME - 2, _PRIME)
+        res = [x * inv % _PRIME for x in res]
+        pcol, t = basis[j], target[j]
+        basis = [
+            [(a - b * x) % _PRIME for a, b in zip(col, pcol)] + [x]
+            for col, x in zip(basis, res)
+        ]
+        target = [(y - t * x) % _PRIME for y, x in zip(target, res)]
+        pivots.append(free.pop(j))
+        del basis[j], target[j]
+        chosen.append((rows, cols, values))
+        if not any(target):
+            return _solve_minor_weights(k, pivots, chosen)
     return None
 
 
-def _solve_minor_weights(k, basis, chosen) -> Optional[Certificate]:
+def _solve_minor_weights(k, pivots, chosen) -> Optional[Certificate]:
     # The pivot points of the echelon basis make the chosen minors' square
     # system nonsingular modulo the prime, hence over Q.
-    pivots = [piv for piv, _ in basis]
     a = [[values[p] for _, _, values in chosen] for p in pivots]
     weights = solve_int(a, [1] * len(pivots))
     if weights is None:

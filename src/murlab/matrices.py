@@ -218,30 +218,3 @@ def charpoly(m) -> Poly:
         c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
     return Poly(Fraction(c[k], s**k) for k in range(nr, -1, -1))
 
-
-def in_column_space(m, v) -> bool:
-    """Whether m @ x = v has a rational solution."""
-    nr, nc = dimensions(m)
-    if len(v) != nr:
-        raise ValueError("incompatible dimensions")
-    aug = [[Fraction(x) for x in row] + [Fraction(v[i])] for i, row in enumerate(m)]
-    r = 0
-    for c in range(nc):
-        piv_row = None
-        for i in range(r, nr):
-            if aug[i][c] != 0:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        aug[r], aug[piv_row] = aug[piv_row], aug[r]
-        piv = aug[r][c]
-        for i in range(r + 1, nr):
-            if aug[i][c] != 0:
-                factor = aug[i][c] / piv
-                for j in range(c, nc + 1):
-                    aug[i][j] -= factor * aug[r][j]
-        r += 1
-        if r == nr:
-            break
-    return all(row[nc] == 0 for row in aug[r:])

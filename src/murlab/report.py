@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from typing import Optional
 
 from .algebraic import AlgebraicContext
@@ -24,12 +24,12 @@ from .engine import (
     _laplacian_max_multiplicity,
     family_mur,
     laplacian,
-    minor_matrices,
+    minor_values,
     universal_matrix,
 )
 from .families import recognize_family
 from .graphs import Graph, GraphError, components, diameter, encode_graph6, parse_graph6
-from .matrices import charpoly, det_int, rank_algebraic, rank_rational
+from .matrices import charpoly, rank_algebraic, rank_rational
 from .pathsearch import PathForestWitness, validate_path_forest
 from .polynomials import Poly, root_multiplicity
 
@@ -183,20 +183,24 @@ def _replay_minor_combination(g: Graph, data: dict) -> tuple[Optional[int], str]
         return None, f"minor order {k!r} outside 1..{g.n}"
     if not isinstance(minors, list):
         return None, "minors are not a list"
-    terms = []
+    terms, weights = [], []
     for m in minors:
         if not isinstance(m, dict):
             return None, "malformed minor entry"
         rows, cols, weight = m.get("rows"), m.get("cols"), m.get("weight")
         if not (_is_index_set(rows, g.n, k) and _is_index_set(cols, g.n, k)):
             return None, f"minor index sets {rows!r}, {cols!r} are not {k} distinct vertices"
-        terms.append((rows, cols, _rational(weight)))
-    for mat in minor_matrices(g, k):
-        total = sum(
-            w * det_int([[mat[r][c] for c in cols] for r in rows]) for rows, cols, w in terms
-        )
-        if total != 1:
-            return None, f"minor combination evaluates to {total}, not 1"
+        terms.append((rows, cols))
+        weights.append(_rational(weight))
+    # The weights scaled by the lcm of their denominators are integers.
+    den = lcm(*(w.denominator for w in weights))
+    totals = [0] * ((k + 1) * (k + 2))
+    for w, (_, _, values) in zip(weights, minor_values(g, k, terms)):
+        w = w.numerator * (den // w.denominator)
+        totals = [t + w * x for t, x in zip(totals, values)]
+    for t in totals:
+        if t != den:
+            return None, f"minor combination evaluates to {Fraction(t, den)}, not 1"
     return k, ""
 
 

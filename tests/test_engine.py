@@ -1,5 +1,6 @@
+import gc
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +15,8 @@ from murlab.engine import (
     complement_params,
     compute_mur,
     family_mur,
+    minor_points,
+    minor_values,
     minors_combination,
     mur_lower,
     mur_spread,
@@ -36,7 +39,7 @@ from murlab.graphs import (
     petersen,
     star,
 )
-from murlab.matrices import rank_rational
+from murlab.matrices import det_int, rank_rational
 
 FAST = Budget(grid_den=2, grid_num=2, random_points=20, algebraic=False)
 
@@ -214,13 +217,94 @@ def test_search_matches_ranking_every_candidate(g):
     assert len(ranked) == singular
 
 
+def _points_minor(g, k, rows, cols):
+    return [
+        det_int([[m[r][c] for c in cols] for r in rows])
+        for m in (universal_matrix(g, ParamPoint(*p)) for p in minor_points(k))
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_strategy(8), st.data())
+def test_minor_values_match_determinants(g, data):
+    # Index sets in any order, as replay may read them; each value list is
+    # det_int of the submatrix of universal_matrix at every minor point.
+    for k in range(1, g.n + 1):
+        index_sets = st.permutations(range(g.n)).map(lambda p: p[:k])
+        pairs = [(data.draw(index_sets), data.draw(index_sets)) for _ in range(3)]
+        pairs.sort()  # consecutive pairs share row prefixes
+        for (rows, cols), (r, c, values) in zip(pairs, minor_values(g, k, pairs)):
+            assert (r, c) == (rows, cols)
+            assert values == _points_minor(g, k, rows, cols)
+
+
+def test_minor_values_beyond_the_table_budget():
+    # Order 10 on the 12 vertices of P'11 is past the cell budget: each value
+    # is a determinant per point.
+    g, k = p_prime(11), 10
+    subsets = list(combinations(range(g.n), k))
+    pairs = [(subsets[0], cols) for cols in subsets[:4]] + [(subsets[1], subsets[5])]
+    for rows, cols, values in minor_values(g, k, pairs):
+        assert values == _points_minor(g, k, rows, cols)
+
+
+def test_minor_tables_give_the_per_point_certificates(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        Graph.from_edges(7, list(h.edges()))
+        for h in nx.graph_atlas_g()[::97]
+        if h.number_of_nodes() == 7
+    ]
+    assert graphs
+    for g in graphs:
+        for k in range(3, 7):
+            tables = minors_combination(g, k)
+            monkeypatch.setattr(engine, "_MINOR_TABLE_CELLS", 0)
+            per_point = minors_combination(g, k)
+            monkeypatch.undo()
+            assert tables == per_point
+
+
 def test_minors_combination_only_where_rank_is_forced():
     assert minors_combination(p_prime(4), 3).data["k"] == 3
     assert minors_combination(p_prime(5), 4).data["k"] == 4
-    # mur(P'6) = 4 and mur(C5) = 2: their minors of one order more have a
-    # common zero, so no certificate may exist
+    # mur(P'6) = 4, mur(C5) = 2, mur(P'7) = 5 and mur(P'11) = 9: their minors
+    # of one order more have a common zero, so no certificate may exist.
+    # P'11 at 10 evaluates minors a point at a time and stops at the work cap.
     assert minors_combination(p_prime(6), 5) is None
     assert minors_combination(cycle(5), 3) is None
+    assert minors_combination(p_prime(7), 6) is None
+    assert minors_combination(p_prime(11), 10) is None
+
+
+def test_minors_certificate_is_pinned():
+    # The minors chosen and their weights are part of the report format:
+    # the P'5 certificate must not move when the stage's arithmetic does.
+    want = [
+        ([0, 1, 2, 3], [0, 1, 3, 4], "-2"),
+        ([0, 1, 2, 4], [0, 1, 2, 5], "2"),
+        ([0, 1, 2, 4], [0, 1, 3, 5], "3"),
+        ([0, 1, 2, 4], [0, 1, 4, 5], "-2"),
+        ([0, 1, 2, 4], [0, 2, 3, 4], "1"),
+        ([0, 1, 2, 4], [0, 2, 3, 5], "-3"),
+        ([0, 1, 2, 4], [1, 2, 4, 5], "4"),
+        ([0, 1, 3, 4], [1, 2, 3, 4], "1"),
+    ]
+    cert = minors_combination(p_prime(5), 4)
+    assert [(m["rows"], m["cols"], m["weight"]) for m in cert.data["minors"]] == want
+
+
+def test_minors_stage_leaves_no_cyclic_garbage():
+    # Whatever the stage builds is freed by reference counting alone.
+    cases = [(p_prime(4), 3), (p_prime(5), 4), (cycle(5), 3), (parse_graph6("Fxef?"), 5)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g, k in cases:
+            minors_combination(g, k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_minors_certificate_stops_the_search(monkeypatch):

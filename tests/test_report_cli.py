@@ -5,7 +5,16 @@ import pytest
 
 from murlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from murlab.engine import Budget, MurResult, _algebraic_drops, compute_mur, mur_spread
-from murlab.graphs import Graph, cycle, disjoint_union, encode_graph6, p_prime, path, complete
+from murlab.graphs import (
+    Graph,
+    complete,
+    cycle,
+    disjoint_union,
+    encode_graph6,
+    p_prime,
+    parse_graph6,
+    path,
+)
 from murlab.report import (
     FORMAT,
     ReportError,
@@ -63,7 +72,14 @@ def test_parse_rejects_other_documents():
 
 
 def test_replay_passes_on_fresh_reports():
-    for g in (path(6), cycle(7), disjoint_union([complete(3), complete(4)]), p_prime(4)):
+    graphs = (
+        path(6),
+        cycle(7),
+        disjoint_union([complete(3), complete(4)]),
+        p_prime(4),
+        parse_graph6("DJC"),  # minors weights with denominators 2, 3 and 12
+    )
+    for g in graphs:
         checks = replay_report(make_report(g))
         assert all(c.ok for c in checks), [(c.name, c.message) for c in checks]
 
