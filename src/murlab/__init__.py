@@ -5,7 +5,6 @@ from .engine import (
     Certificate,
     MurResult,
     ParamPoint,
-    PRESETS,
     SpreadResult,
     complement_params,
     compute_mur,
@@ -29,7 +28,6 @@ __all__ = [
     "Graph6Error",
     "GraphError",
     "MurResult",
-    "PRESETS",
     "ParamPoint",
     "SpreadResult",
     "build_report",

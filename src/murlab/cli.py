@@ -37,13 +37,14 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=Budget.search_nodes,
                    help="search node budget for the induced-path searches (default %(default)s)")
     p.add_argument("--grid-den", type=int, default=Budget.grid_den,
-                   help="max denominator in the rational parameter grid (default %(default)s)")
+                   help="search the delta lines p/q with q up to this (default %(default)s)")
     p.add_argument("--grid-num", type=int, default=Budget.grid_num,
-                   help="max |numerator| in the rational parameter grid (default %(default)s)")
+                   help="search the delta lines p/q with |p| up to this (default %(default)s)")
     p.add_argument("--random-points", type=int, default=Budget.random_points,
-                   help="number of extra seeded random parameter points (default %(default)s)")
+                   help="also search the delta lines of this many seeded random points "
+                        "(default %(default)s)")
     p.add_argument("--seed", type=int, default=Budget.seed,
-                   help="seed for the random parameter points (default %(default)s)")
+                   help="seed for those random points (default %(default)s)")
     p.add_argument("--no-algebraic", action="store_true",
                    help="skip the algebraic eigenvalue refinement step")
 

@@ -20,13 +20,13 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .algebraic import AlgebraicContext, AlgebraicNumber
 from .families import FamilyMatch, family_matches
 from .graphs import Graph, components, diameter
-from .matrices import charpoly, det_int, rank_algebraic, rank_rational, solve_int
+from .matrices import charpoly, det_int, pivot_columns, rank_algebraic, rank_rational, solve_int
 from .pathsearch import (
     DEFAULT_NODE_BUDGET,
     PathForestResult,
     best_induced_path_forest,
 )
-from .polynomials import Poly, rational_roots, root_multiplicity, squarefree_decomposition
+from .polynomials import Poly, integer_roots, root_multiplicity, squarefree_decomposition
 
 Scalar = Union[Fraction, AlgebraicNumber]
 
@@ -54,30 +54,6 @@ class ParamPoint:
     @classmethod
     def rational(cls, beta, gamma, delta) -> "ParamPoint":
         return cls(Fraction(beta), Fraction(gamma), Fraction(delta))
-
-
-@dataclass(frozen=True)
-class Preset:
-    """A named classical matrix as a raw (alpha, beta, gamma, delta) quadruple."""
-
-    name: str
-    raw: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    @property
-    def normalized(self) -> ParamPoint:
-        a, b, c, d = self.raw
-        if a == 0:
-            raise EngineError("preset with zero adjacency coefficient")
-        return ParamPoint.rational(b / a, c / a, d / a)
-
-
-PRESETS = [
-    Preset("adjacency", (Fraction(1), Fraction(0), Fraction(0), Fraction(0))),
-    Preset("laplacian", (Fraction(-1), Fraction(0), Fraction(0), Fraction(1))),
-    Preset("signless_laplacian", (Fraction(1), Fraction(0), Fraction(0), Fraction(1))),
-    Preset("seidel", (Fraction(-2), Fraction(-1), Fraction(1), Fraction(0))),
-    Preset("complement_adjacency", (Fraction(-1), Fraction(-1), Fraction(1), Fraction(0))),
-]
 
 
 def universal_matrix(g: Graph, p: ParamPoint) -> list[list]:
@@ -231,11 +207,13 @@ class MurResult:
 
 @dataclass(frozen=True)
 class Budget:
+    """Search effort.  The grid p/q (q <= grid_den, |p| <= grid_num) and the
+    delta of random_points seeded points add lines to the delta search."""
+
     search_nodes: int = DEFAULT_NODE_BUDGET
     grid_den: int = 4
     grid_num: int = 4
     random_points: int = 200
-    max_candidates: Optional[int] = None
     seed: int = 0
     algebraic: bool = True
 
@@ -603,79 +581,93 @@ def _param_cert(p: ParamPoint, rank: int) -> Certificate:
     )
 
 
-def candidate_params(g: Graph, budget: Budget = DEFAULT_BUDGET) -> Iterator[ParamPoint]:
-    """Deduplicated rational parameter points, structured ones first."""
-    n = g.n
-    facts = graph_facts(g)
-
-    def stream() -> Iterator[ParamPoint]:
-        for preset in PRESETS:
-            yield preset.normalized
-
-        degs = sorted(set(g.degrees()))
-        deltas = [Fraction(0), Fraction(1), Fraction(-1)]
-        for d in degs:
-            # 1/(d-1) matches the clique construction delta = 1/(r-1) with
-            # r = d + 1; 1/d covers the same with r = d.
-            if d >= 2:
-                deltas.extend((Fraction(1, d - 1), Fraction(-1, d - 1)))
-            if d >= 1:
-                deltas.extend((Fraction(1, d), Fraction(-1, d)))
-        gammas = [Fraction(0), Fraction(-1), Fraction(-1, 2)]
-        for delta in deltas:
-            for gamma in gammas:
-                yield ParamPoint(Fraction(0), gamma, delta)
-                for d in degs:
-                    yield ParamPoint(-gamma - delta * d, gamma, delta)
-
-        # Laplacian-eigenvalue shifts, on the graph and (mapped back) on the
-        # complement.
-        for comp_side in (False, True):
-            for lam in rational_roots(facts.laplacian_charpoly(comp_side)):
-                if lam == 0:
-                    continue
-                for p in (
-                    ParamPoint(lam, Fraction(-lam, n), Fraction(-1)),
-                    ParamPoint(-lam, Fraction(lam, n), Fraction(1)),
-                ):
-                    yield complement_params(g, p) if comp_side else p
-
-        # Reciprocal-of-order style points that close the near-path families.
-        for m in (n - 1, n, n + 1):
-            if m >= 1:
-                yield ParamPoint(Fraction(1), Fraction(-1, m), Fraction(-1))
-        for k in range(1, n // 2 + 1):
-            yield ParamPoint(Fraction(0), Fraction(-1, 2 * k), Fraction(0))
-            yield ParamPoint(Fraction(0), Fraction(0), Fraction(-1, 2 * k))
-
-        values = sorted(
+def _delta_lines(g: Graph, budget: Budget) -> list[Fraction]:
+    """The delta values searched, each once, structured ones first: 0 and
+    +-1, +-1/(d-1) and +-1/d for each degree d (the clique construction
+    delta = 1/(r-1) with r = d + 1 or r = d), -1/(2k) for k <= n/2 (the
+    near-path families), the grid, and the delta of each random point."""
+    deltas = [Fraction(0), Fraction(-1), Fraction(1)]
+    for d in sorted(set(g.degrees())):
+        if d >= 2:
+            deltas.extend((Fraction(1, d - 1), Fraction(-1, d - 1)))
+        if d >= 1:
+            deltas.extend((Fraction(1, d), Fraction(-1, d)))
+    deltas.extend(Fraction(-1, 2 * k) for k in range(1, g.n // 2 + 1))
+    deltas.extend(
+        sorted(
             {
                 Fraction(p, q)
                 for q in range(1, budget.grid_den + 1)
                 for p in range(-budget.grid_num, budget.grid_num + 1)
             }
         )
-        for beta in values:
-            for gamma in values:
-                for delta in values:
-                    yield ParamPoint(beta, gamma, delta)
+    )
+    rng = random.Random(budget.seed)
+    for _ in range(budget.random_points):
+        _beta, _gamma, delta = (Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(3))
+        deltas.append(delta)
+    return list(dict.fromkeys(deltas))
 
-        rng = random.Random(budget.seed)
-        for _ in range(budget.random_points):
-            yield ParamPoint(
-                Fraction(rng.randint(-8, 8), rng.randint(1, 6)),
-                Fraction(rng.randint(-8, 8), rng.randint(1, 6)),
-                Fraction(rng.randint(-8, 8), rng.randint(1, 6)),
-            )
 
-    seen: set[tuple] = set()
-    for p in stream():
-        if budget.max_candidates is not None and len(seen) >= budget.max_candidates:
-            return
-        key = (p.beta, p.gamma, p.delta)
-        if key not in seen:
-            seen.add(key)
-            yield p
+def _line_eigenvalues(g: Graph, delta: Fraction) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """m = s * (A + delta*D), s the denominator of delta, and each integer
+    eigenvalue of m with its multiplicity, highest multiplicity first.
+
+    m's characteristic polynomial is monic over the integers, so its rational
+    roots are integers: the rational eigenvalues of A + delta*D are mu / s.
+    """
+    s = delta.denominator
+    m = [[s if g.has_edge(i, j) else 0 for j in range(g.n)] for i in range(g.n)]
+    for i, deg in enumerate(g.degrees()):
+        m[i][i] = delta.numerator * deg
+    roots = integer_roots([c.numerator for c in charpoly(m).coeffs])
+    return m, sorted(roots, key=lambda r: -r[1])
+
+
+def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> ParamPoint:
+    """The point of lowest rank with beta = -mu/s on the line of delta.
+
+    B = U(beta, 0, delta) is symmetric.  J = 11^T has rank one, so the rank
+    of B + gamma*J is at least rank(B) - 1, and it reaches that exactly when
+    B x = 1 has a solution with 1^T x != 0, at gamma = -1/(1^T x); otherwise
+    gamma = 0 is best.  The solve runs on the block of a column basis of B,
+    which is nonsingular because B is symmetric.
+    """
+    s = delta.denominator
+    b = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    cols = pivot_columns(b)  # b = s * B
+    y = solve_int([[b[i][j] for j in cols] for i in cols], [1] * len(cols))
+    gamma = Fraction(0)
+    # y on cols and zero elsewhere solves b x = 1 if every row agrees; then
+    # B (s x) = 1.
+    if all(sum(row[j] * v for j, v in zip(cols, y)) == 1 for row in b) and sum(y):
+        gamma = -1 / (s * sum(y))
+    return ParamPoint(Fraction(-mu, s), gamma, delta)
+
+
+def search_lines(
+    g: Graph, budget: Budget, lower: int, upper: int, cert: Certificate
+) -> tuple[int, Certificate]:
+    """The lowest rank found on the budget's delta lines, if below ``upper``.
+
+    A + delta*D is symmetric, so rank(A + beta*I + delta*D) = n - mult(lambda)
+    at beta = -lambda for an eigenvalue lambda, and n elsewhere; each
+    rational eigenvalue that could bring the rank below ``upper`` is ranked
+    at its ``_drop_point``.  The search stops once it reaches ``lower``.
+    """
+    n = g.n
+    for delta in _delta_lines(g, budget):
+        if upper <= lower:
+            break
+        m, eigenvalues = _line_eigenvalues(g, delta)
+        for mu, mult in eigenvalues:
+            if n - mult - 1 >= upper:
+                break
+            p = _drop_point(m, mu, delta)
+            r = rank_rational(_integer_universal_matrix(g, p))
+            if r < upper:
+                upper, cert = r, _param_cert(p, r)
+    return upper, cert
 
 
 def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[AlgebraicContext, ParamPoint]]:
@@ -717,75 +709,37 @@ def _alg_param_cert(ctx: AlgebraicContext, branch: Poly, p: ParamPoint, rank: in
     )
 
 
-def _algebraic_drops(g: Graph, upper: int) -> Iterator[tuple[int, Certificate]]:
-    """Each strict drop below ``upper`` at an irrational Laplacian-shift point."""
-    for ctx, p in algebraic_eigen_candidates(g):
-        for branch, r in rank_algebraic(universal_matrix(g, p), ctx):
-            if r < upper:
-                upper = r
-                yield upper, _alg_param_cert(ctx, branch, p, r)
-
-
 def _refine_algebraic(g, lower, upper, ucert):
-    """The lowest algebraic upper bound below ``upper``, stopping at ``lower``."""
-    for upper, ucert in _algebraic_drops(g, upper):
+    """The lowest rank below ``upper`` at an irrational Laplacian-shift
+    point, stopping at ``lower``."""
+    for ctx, p in algebraic_eigen_candidates(g):
         if upper <= lower:
             break
+        for branch, r in rank_algebraic(universal_matrix(g, p), ctx):
+            if r < upper:
+                upper, ucert = r, _alg_param_cert(ctx, branch, p, r)
     return upper, ucert
 
 
-# Structured candidates often lower the bound twice in a row; a minors attempt
-# at the first drop must then fail, at the cost of thousands of candidates.
-_DROP_HOLD = 16
-
-
-def _upper_bounds(g: Graph, budget: Budget) -> Iterator[tuple[int, Certificate]]:
-    """Each improving certified upper bound, in the order the stages find them.
-
-    First the structural bound, then the candidate search's strict drops
-    that hold for ``_DROP_HOLD`` candidates (and its last), then every strict
-    drop of the algebraic refinement.
-
-    A candidate point is ranked only where U is singular: elsewhere its rank
-    is n > upper.  J has rank one, so det(B + t*J) = det(B) + t*(det(B + J) -
-    det(B)) for any B; two determinants per (beta, delta) thus decide
-    singularity for every gamma.
-    """
+def _upper_bounds(g: Graph, budget: Budget, lower: int) -> Iterator[tuple[int, Certificate]]:
+    """The structural upper bound, then the bound the search lowers it to,
+    if any: the delta lines, then the algebraic refinement, each stopping
+    once the bound reaches ``lower``."""
     upper, cert = structural_upper(g)
     yield upper, cert
-    dets = {}
-    held = None  # candidates seen since a drop not yet reported
-    for p in candidate_params(g, budget):
-        if held is not None:
-            held += 1
-            if held > _DROP_HOLD:
-                yield upper, cert
-                held = None
-        key = (p.beta, p.delta)
-        if (entry := dets.get(key)) is None:
-            # s * U(beta, 0, delta) with integer entries, s the lcm of the denominators
-            m = _integer_universal_matrix(g, ParamPoint(p.beta, Fraction(0), p.delta))
-            d0 = det_int(m)
-            d1 = det_int([[x + 1 for x in row] for row in m]) - d0
-            entry = dets[key] = lcm(p.beta.denominator, p.delta.denominator), d0, d1
-        s, d0, d1 = entry
-        if d0 * p.gamma.denominator + s * p.gamma.numerator * d1:  # det(s * U) != 0
-            continue
-        r = rank_rational(_integer_universal_matrix(g, p))
-        if r < upper:
-            upper, cert, held = r, _param_cert(p, r), 0
-    if held is not None:
-        yield upper, cert
+    found = search_lines(g, budget, lower, upper, cert)
     if budget.algebraic:
-        yield from _algebraic_drops(g, upper)
+        found = _refine_algebraic(g, lower, *found)
+    if found[0] < upper:
+        yield found
 
 
 def mur_upper(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certificate]:
-    """Best certified upper bound: a family value, else the search's last drop."""
+    """Best certified upper bound: a family value, else the lowest the search reaches."""
     fam = family_mur(g)
     if fam is not None:
         return fam
-    *_, last = _upper_bounds(g, budget)
+    *_, last = _upper_bounds(g, budget, 0)
     return last
 
 
@@ -799,8 +753,9 @@ def compute_mur(
     """Certified interval (exact whenever the two bounds meet).
 
     A family formula settles the value at once.  Otherwise a minors
-    combination is tried at each upper bound ``_upper_bounds`` yields, and
-    the search stops as soon as the two bounds meet.
+    combination is tried at the structural upper bound and, if that fails,
+    once more at the bound the search brings it to; the search stops as
+    soon as the two bounds meet.
     """
     n = g.n
     if n == 0:
@@ -818,7 +773,7 @@ def compute_mur(
             lcert = Certificate("family_formula", dict(ucert.data))
             lower = value
         return MurResult(value, lcert, value, ucert, budget_exhausted=exhausted)
-    for upper, ucert in _upper_bounds(g, budget):
+    for upper, ucert in _upper_bounds(g, budget, lower):
         if lower > upper:
             raise EngineError(f"bounds crossed: lower {lower} > upper {upper}")
         if lower == upper:

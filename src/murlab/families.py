@@ -97,13 +97,8 @@ def _matches_one_side(g: Graph) -> list[FamilyMatch]:
     return out
 
 
-def recognize_family(g: Graph) -> list[FamilyMatch]:
-    """All family matches on g and on its complement."""
-    return family_matches(g, g.complement())
-
-
 def family_matches(g: Graph, complement: Graph) -> list[FamilyMatch]:
-    """``recognize_family`` for a graph whose complement is already built."""
+    """All family matches on g and on its complement."""
     out = list(_matches_one_side(g))
     out.extend(
         FamilyMatch(m.kind, m.params, complemented=True)

@@ -13,10 +13,17 @@ from fractions import Fraction
 
 from . import graphs
 from .algebraic import AlgebraicContext
-from .engine import Budget, ParamPoint, candidate_params, minors_combination, universal_matrix
+from .engine import (
+    Budget,
+    Certificate,
+    ParamPoint,
+    minors_combination,
+    search_lines,
+    universal_matrix,
+)
 from .matrices import rank_algebraic, rank_rational
 from .polynomials import Poly
-from .report import _replay_lower
+from .report import _parse_point, _replay_lower
 
 
 @dataclass
@@ -81,7 +88,8 @@ def _path_laplacian_shift() -> FixtureReport:
 def _generalized_star() -> FixtureReport:
     # The 5-vertex tree with degree sequence 1,1,1,2,3.  Its 3x3 minors
     # combine to 1, so no parameters give rank 2; the fixture replays that
-    # certificate and checks that the default grid reaches rank 3.
+    # certificate, and rebuilds the matrix at the point where the default
+    # search reaches rank 3 and checks its rank.
     g = graphs.p_prime(4)
     cert = minors_combination(g, 3)
     if cert is None:
@@ -89,14 +97,13 @@ def _generalized_star() -> FixtureReport:
     else:
         lower, msg = _replay_lower(g, {"kind": cert.kind, "data": cert.data})
     details = [f"replayed lower bound {lower} {msg}".rstrip()]
+    _, found = search_lines(g, Budget(), 3, g.n, Certificate("trivial"))
     best, point = g.n, "no point"
-    for p in candidate_params(g, Budget()):
-        r = rank_rational(universal_matrix(g, p))
-        if r < best:
-            best, point = r, f"(beta={p.beta}, gamma={p.gamma}, delta={p.delta})"
-            if best <= 3:
-                break
-    details.append(f"best rank {best} at {point}")
+    if found.kind == "explicit_params":
+        p = _parse_point(found.data)
+        best = rank_rational(universal_matrix(g, p))
+        point = f"(beta={p.beta}, gamma={p.gamma}, delta={p.delta})"
+    details.append(f"rank {best} at {point}")
     return FixtureReport("generalized-star", lower == 3 and best == 3, details)
 
 

@@ -43,10 +43,12 @@ def _integer_rows(m) -> list[list[int]]:
     return out
 
 
-def _bareiss_rank_int(rows: list[list[int]]) -> int:
+def _bareiss_pivots(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of an integer matrix, eliminated in place."""
     nr, nc = len(rows), len(rows[0]) if rows else 0
     r = 0
     prev = 1
+    pivots = []
     for c in range(nc):
         if r == nr:
             break
@@ -69,8 +71,9 @@ def _bareiss_rank_int(rows: list[list[int]]) -> int:
                 rows[i][j] = q
             rows[i][c] = 0
         prev = piv
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -128,12 +131,18 @@ def solve_int(a: list[list[int]], b: list[int]) -> Optional[list[Fraction]]:
     return x
 
 
-def rank_rational(m) -> int:
-    """Exact rank of a matrix with rational entries."""
+def pivot_columns(m) -> list[int]:
+    """The pivot columns of a rational matrix under elimination, in
+    increasing order: a basis of its column space."""
     nr, nc = dimensions(m)
     if nr == 0 or nc == 0:
-        return 0
-    return _bareiss_rank_int(_integer_rows(m))
+        return []
+    return _bareiss_pivots(_integer_rows(m))
+
+
+def rank_rational(m) -> int:
+    """Exact rank of a matrix with rational entries."""
+    return len(pivot_columns(m))
 
 
 def rank_algebraic(m, context: AlgebraicContext) -> list[tuple[Poly, int]]:

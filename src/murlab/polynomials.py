@@ -244,35 +244,55 @@ def root_multiplicity(p: Poly, r) -> tuple[int, Poly]:
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p (each listed once), by the rational root test."""
+    """All rational roots of p (each listed once), in increasing order.
+
+    With p scaled to integer coefficients a_0..a_n, the substitution
+    x = y / a_n turns a_n^(n-1) * p into a monic integer polynomial in y,
+    whose rational roots are integers; p's roots are those divided by a_n.
+    """
     if p.is_zero():
         raise ValueError("rational roots of the zero polynomial")
-    # Strip powers of x, then scale to integer coefficients.
-    low = 0
-    while p.coeffs[low] == 0:
-        low += 1
-    roots = [Fraction(0)] if low > 0 else []
-    coeffs = p.coeffs[low:]
-    if len(coeffs) == 1:
-        return roots
-    den_lcm = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den_lcm) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p(cand) == 0 and cand not in roots:
-                    roots.append(cand)
+    den_lcm = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den_lcm // c.denominator) for c in p.coeffs]
+    n, lead = len(ints) - 1, ints[-1]
+    monic = [a * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
+    return sorted(Fraction(y, lead) for y, _ in integer_roots(monic))
+
+
+def integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:
+    """(root, multiplicity) for each integer root of a monic polynomial with
+    integer coefficients (lowest degree first), in increasing order.
+
+    Zero roots are divided out first.  Every other root divides the constant
+    term and lies within Fujiwara's bound 2 * max_k |c_(n-k)|^(1/k), taken
+    here with each k-th root rounded up to a power of two.
+    """
+    low = next(i for i, c in enumerate(coeffs) if c)
+    roots = [(0, low)] if low else []
+    coeffs = list(coeffs[low:])
+    n = len(coeffs) - 1
+    bound = 2 * max(
+        (1 << -(-abs(c).bit_length() // (n - i)) for i, c in enumerate(coeffs[:-1])),
+        default=0,
+    )
+    a0 = abs(coeffs[0])
+    for d in range(1, min(bound, a0) + 1):
+        if a0 % d:
+            continue
+        for y in (-d, d):
+            mult = 0
+            while len(coeffs) > 1:
+                # synthetic division by x - y, highest degree first
+                quot, acc = [], 0
+                for c in reversed(coeffs):
+                    acc = acc * y + c
+                    quot.append(acc)
+                if acc:
+                    break
+                coeffs = quot[-2::-1]
+                mult += 1
+            if mult:
+                roots.append((y, mult))
+        if len(coeffs) == 1:  # every root found
+            break
     return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

@@ -2,7 +2,7 @@
 
 A report carries everything needed to re-check its claims offline: the
 graph, both bounds, and replayable certificate witnesses.  Replay never
-reruns the candidate search; it only verifies the certificates.
+reruns the search; it only verifies the certificates.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .engine import (
     minor_values,
     universal_matrix,
 )
-from .families import recognize_family
+from .families import family_matches
 from .graphs import Graph, GraphError, components, diameter, encode_graph6, parse_graph6
 from .matrices import charpoly, rank_algebraic, rank_rational
 from .pathsearch import PathForestWitness, validate_path_forest
@@ -71,7 +71,7 @@ def build_report(
             "grid_den": budget.grid_den,
             "grid_num": budget.grid_num,
             "random_points": budget.random_points,
-            "max_candidates": budget.max_candidates,
+            "max_candidates": None,  # no cap; the key is part of the format
             "seed": budget.seed,
         },
         "budget_exhausted": result.budget_exhausted,
@@ -139,7 +139,7 @@ def _replay_lower(g: Graph, cert: dict) -> tuple[Optional[int], str]:
             return None, f"recomputed diameter {d} != {data['diameter']}"
         return data["diameter"] - 1, ""
     if kind == "not_in_rank01_families":
-        kinds = {m.kind for m in recognize_family(g)}
+        kinds = {m.kind for m in family_matches(g, g.complement())}
         if kinds & {"complete", "empty"}:
             return None, "graph is in a rank-0 family"
         claimed = data["bound"]

@@ -154,15 +154,20 @@ def test_criterion_3_seven_vertex_corpus():
     ]
     assert len(graphs) == 1044
     failures = []
+    exact = 0
     start = time.monotonic()
     for i, g in enumerate(graphs):
         res = compute_mur(g, LEAN)
+        exact += res.exact
         if not 0 <= res.lower <= res.upper <= 5:
             failures.append(f"graph {i}: [{res.lower}, {res.upper}]")
     elapsed = time.monotonic() - start
     if elapsed >= 300:
         failures.append(f"corpus took {elapsed:.1f}s (limit 300)")
-    print(f"\n7-vertex corpus: 1044 graphs in {elapsed:.1f}s")
+    # A pin on the corpus exact count: it may rise, never fall.
+    if exact < 1008:
+        failures.append(f"{exact} of 1044 graphs exact (at least 1008 expected)")
+    print(f"\n7-vertex corpus: 1044 graphs in {elapsed:.1f}s, {exact} exact")
     announce("3 seven-vertex-corpus", failures)
 
 

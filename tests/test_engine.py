@@ -1,6 +1,7 @@
 import gc
 from fractions import Fraction
-from itertools import combinations, islice
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,6 @@ from murlab.engine import (
     Budget,
     EngineError,
     ParamPoint,
-    PRESETS,
-    candidate_params,
     complement_params,
     compute_mur,
     family_mur,
@@ -22,6 +21,7 @@ from murlab.engine import (
     mur_spread,
     mur_upper,
     regular_mur,
+    search_lines,
     spread_bounds,
     universal_matrix,
 )
@@ -39,7 +39,8 @@ from murlab.graphs import (
     petersen,
     star,
 )
-from murlab.matrices import det_int, rank_rational
+from murlab.matrices import charpoly, det_int, rank_rational
+from murlab.polynomials import rational_roots
 
 FAST = Budget(grid_den=2, grid_num=2, random_points=20, algebraic=False)
 
@@ -52,16 +53,6 @@ def test_universal_matrix_examples():
     assert rank_rational(m) == 1
     m = universal_matrix(empty(3), ParamPoint.rational(0, 0, 0))
     assert all(x == 0 for row in m for x in row)
-
-
-def test_preset_normalization():
-    by_name = {p.name: p.normalized for p in PRESETS}
-    assert by_name["adjacency"] == ParamPoint.rational(0, 0, 0)
-    assert by_name["laplacian"] == ParamPoint.rational(0, 0, -1)
-    assert by_name["seidel"] == ParamPoint.rational(
-        Fraction(1, 2), Fraction(-1, 2), 0
-    )
-    assert by_name["complement_adjacency"] == ParamPoint.rational(1, -1, 0)
 
 
 def test_complement_params_entrywise():
@@ -138,19 +129,18 @@ def test_compute_mur_without_family_shortcuts():
         assert res.lower <= exact.value <= res.upper
 
 
-def test_candidates_deterministic_and_deduplicated():
-    g = cycle(5)
-    b = Budget(random_points=30, seed=3)
-    first = list(islice(candidate_params(g, b), 400))
-    second = list(islice(candidate_params(g, b), 400))
-    assert first == second
-    keys = [(p.beta, p.gamma, p.delta) for p in first]
-    assert len(keys) == len(set(keys))
-
-
-def test_candidate_cap():
-    g = cycle(5)
-    assert len(list(candidate_params(g, Budget(max_candidates=10)))) == 10
+def test_pinned_rational_drops():
+    # Rank drops at rational points off the old 3-D grid: (-1, -1/5, 0) for
+    # Fh_gG, where the path forest gives 4, and gamma = -10/7 for F?~y?,
+    # where a minors combination then certifies 3.
+    res = compute_mur(parse_graph6("Fh_gG"), Budget())
+    assert res.value == 4 and res.upper_cert.kind == "explicit_params"
+    res = compute_mur(parse_graph6("F?~y?"), Budget())
+    assert res.value == 3 and res.lower_cert.kind == "minor_combination"
+    assert res.upper_cert.kind == "explicit_params"
+    data = res.upper_cert.data
+    point = ParamPoint.rational(*(Fraction(data[k]) for k in ("beta", "gamma", "delta")))
+    assert rank_rational(universal_matrix(parse_graph6("F?~y?"), point)) == 3
 
 
 def graphs_strategy(max_n=6):
@@ -177,44 +167,97 @@ def test_rank_never_below_certified_lower(g, data):
     assert rank_rational(universal_matrix(g, p)) >= lo
 
 
+def _line_points(g, budget, data):
+    """On each of the search's delta lines, the point of lowest rank at each
+    rational eigenvalue, and a point with that beta and a drawn gamma."""
+    fr = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    for delta in engine._delta_lines(g, budget):
+        m, eigenvalues = engine._line_eigenvalues(g, delta)
+        for mu, _ in eigenvalues:
+            p = engine._drop_point(m, mu, delta)
+            yield p
+            yield ParamPoint(p.beta, data.draw(fr), delta)
+
+
 @settings(max_examples=25, deadline=None)
 @given(graphs_strategy(6), st.data())
 def test_rank_never_below_computed_lower(g, data):
     # compute_mur may raise the lower bound with a minors certificate and then
-    # skip the search, so check its bound against search points too.
+    # skip the search, so check its bound against points on the search's
+    # lines too.
     lo = compute_mur(g, FAST).lower
     fr = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     points = [ParamPoint(data.draw(fr), data.draw(fr), data.draw(fr))]
-    points += islice(candidate_params(g, FAST), 150)
+    points += _line_points(g, FAST, data)
     for p in points:
         assert rank_rational(universal_matrix(g, p)) >= lo
 
 
+def _old_candidates(g, budget):
+    """The 3-D candidate points the search along delta lines replaced:
+    presets, structured points, Laplacian shifts, reciprocal points, the
+    grid and the seeded random points, in their old order."""
+    n = g.n
+    yield from (
+        ParamPoint.rational(*p)
+        for p in (
+            (0, 0, 0), (0, 0, -1), (0, 0, 1), (Fraction(1, 2), Fraction(-1, 2), 0), (1, -1, 0)
+        )
+    )
+    degs = sorted(set(g.degrees()))
+    deltas = [Fraction(0), Fraction(1), Fraction(-1)]
+    for d in degs:
+        if d >= 2:
+            deltas += [Fraction(1, d - 1), Fraction(-1, d - 1)]
+        if d >= 1:
+            deltas += [Fraction(1, d), Fraction(-1, d)]
+    for delta in deltas:
+        for gamma in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
+            yield ParamPoint(Fraction(0), gamma, delta)
+            for d in degs:
+                yield ParamPoint(-gamma - delta * d, gamma, delta)
+    for comp_side in (False, True):
+        side = g.complement() if comp_side else g
+        for lam in rational_roots(charpoly(engine.laplacian(side))):
+            if lam:
+                for p in (
+                    ParamPoint(lam, Fraction(-lam, n), Fraction(-1)),
+                    ParamPoint(-lam, Fraction(lam, n), Fraction(1)),
+                ):
+                    yield complement_params(g, p) if comp_side else p
+    for m in (n - 1, n, n + 1):
+        if m >= 1:
+            yield ParamPoint(Fraction(1), Fraction(-1, m), Fraction(-1))
+    for k in range(1, n // 2 + 1):
+        yield ParamPoint(Fraction(0), Fraction(-1, 2 * k), Fraction(0))
+        yield ParamPoint(Fraction(0), Fraction(0), Fraction(-1, 2 * k))
+    values = sorted(
+        {Fraction(p, q) for q in range(1, budget.grid_den + 1)
+         for p in range(-budget.grid_num, budget.grid_num + 1)}
+    )
+    for beta in values:
+        for gamma in values:
+            for delta in values:
+                yield ParamPoint(beta, gamma, delta)
+    rng = random.Random(budget.seed)
+    for _ in range(budget.random_points):
+        yield ParamPoint(*(Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(3)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(graphs_strategy(7))
-@example(parse_graph6("FJyG_"))  # two drops far apart: both reported
-@example(parse_graph6("FaO`G"))  # a drop beaten 4 candidates later: not reported
-def test_search_matches_ranking_every_candidate(g):
-    # The search ranks exactly the candidates where U is singular, and reports
-    # a drop once it has held for _DROP_HOLD candidates.
-    upper, _ = engine.structural_upper(g)
-    singular, drops = 0, []  # drops: (position, rank, certificate)
-    for i, p in enumerate(candidate_params(g, FAST)):
-        r = rank_rational(universal_matrix(g, p))
-        singular += r < g.n
-        if r < upper:
-            upper = r
-            drops.append((i, r, engine._param_cert(p, r)))
-    ends = [i for i, _, _ in drops[1:]] + [float("inf")]
-    held = [(r, c) for (i, r, c), end in zip(drops, ends) if end - i > engine._DROP_HOLD]
-    ranked = []
-    original = engine.rank_rational
-    engine.rank_rational = lambda m: ranked.append(m) or original(m)
-    try:
-        assert list(engine._upper_bounds(g, FAST))[1:] == held
-    finally:
-        engine.rank_rational = original
-    assert len(ranked) == singular
+@example(parse_graph6("Fh_gG"))  # rank 4 at (-1, -1/5, 0), off the old grid
+@example(parse_graph6("F?~y?"))  # rank 3 at gamma = -10/7
+def test_search_never_above_an_old_candidate(g):
+    # Every old candidate lies on a searched delta line, and on each line the
+    # search finds the lowest rank over all rational (beta, gamma).
+    old = list(_old_candidates(g, FAST))
+    assert {p.delta for p in old} <= set(engine._delta_lines(g, FAST))
+    upper, cert = search_lines(g, FAST, 0, *engine.structural_upper(g))
+    assert upper <= min(rank_rational(universal_matrix(g, p)) for p in old)
+    if cert.kind == "explicit_params":
+        p = ParamPoint.rational(*(Fraction(cert.data[k]) for k in ("beta", "gamma", "delta")))
+        assert rank_rational(universal_matrix(g, p)) == cert.data["rank"] == upper
 
 
 def _points_minor(g, k, rows, cols):
@@ -308,8 +351,8 @@ def test_minors_stage_leaves_no_cyclic_garbage():
 
 
 def test_minors_certificate_stops_the_search(monkeypatch):
-    # The search reaches rank 3 within the structured candidates, where a
-    # minors combination certifies 3; the other ~12k points must not be tried.
+    # The search reaches rank 3 on one of the first delta lines, where a
+    # minors combination certifies 3; the other lines must not be searched.
     calls = []
 
     def counted(m):

@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from murlab.families import recognize_family
+from murlab.families import family_matches
 from murlab.graphs import (
     Graph,
     clique_isolated_apex,
@@ -17,7 +17,7 @@ from murlab.graphs import (
 def kinds(g, complemented=None):
     return {
         m.kind
-        for m in recognize_family(g)
+        for m in family_matches(g, g.complement())
         if complemented is None or m.complemented == complemented
     }
 
@@ -30,27 +30,28 @@ def test_complete_and_empty():
 
 def test_two_cliques():
     g = disjoint_union([complete(3), complete(4)])
-    matches = [m for m in recognize_family(g) if m.kind == "two_cliques"]
+    matches = [m for m in family_matches(g, g.complement()) if m.kind == "two_cliques"]
     assert matches and matches[0].params == {"r": 4, "s": 3}
 
 
 def test_clique_plus_isolated():
     g = disjoint_union([complete(6), empty(2)])
-    matches = [m for m in recognize_family(g) if m.kind == "clique_plus_isolated"]
+    matches = [m for m in family_matches(g, g.complement()) if m.kind == "clique_plus_isolated"]
     assert matches and matches[0].params == {"r": 6, "s": 2}
 
 
 def test_union_of_cliques_via_complement():
     g = complete_multipartite([2, 3, 4])
     matches = [
-        m for m in recognize_family(g) if m.kind == "union_of_cliques" and m.complemented
+        m for m in family_matches(g, g.complement())
+        if m.kind == "union_of_cliques" and m.complemented
     ]
     assert matches and matches[0].params["sizes"] == (4, 3, 2)
 
 
 def test_apex_recognition():
     g = clique_isolated_apex(4, 3)
-    matches = [m for m in recognize_family(g) if m.kind == "clique_isolated_apex"]
+    matches = [m for m in family_matches(g, g.complement()) if m.kind == "clique_isolated_apex"]
     assert any(m.params == {"r": 4, "s": 3} and not m.complemented for m in matches)
     assert "clique_isolated_apex" in kinds(star(5), complemented=False)
 
@@ -67,7 +68,7 @@ def test_path_and_cycle():
 
 def test_equal_cycles():
     g = disjoint_union([cycle(4), cycle(4)])
-    matches = [m for m in recognize_family(g) if m.kind == "equal_cycles"]
+    matches = [m for m in family_matches(g, g.complement()) if m.kind == "equal_cycles"]
     assert matches and matches[0].params == {"k": 2, "n": 4}
     g2 = disjoint_union([cycle(3), cycle(4)])
     assert "equal_cycles" not in kinds(g2, complemented=False)
@@ -84,8 +85,8 @@ def graphs_strategy(max_n=7):
 @settings(max_examples=80)
 @given(graphs_strategy())
 def test_complement_pairing(g):
-    direct = {(m.kind, m.complemented) for m in recognize_family(g)}
+    direct = {(m.kind, m.complemented) for m in family_matches(g, g.complement())}
     flipped = {
-        (m.kind, not m.complemented) for m in recognize_family(g.complement())
+        (m.kind, not m.complemented) for m in family_matches(g.complement(), g)
     }
     assert direct == flipped

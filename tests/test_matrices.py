@@ -10,6 +10,7 @@ from murlab.matrices import (
     charpoly,
     det_int,
     mat_mul,
+    pivot_columns,
     rank_algebraic,
     rank_rational,
     solve_int,
@@ -178,6 +179,16 @@ def test_det_and_solve_int(m, data):
         assert x is None
     else:
         assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == b
+
+
+@given(sym_matrices)
+def test_pivot_columns_of_symmetric_matrices(m):
+    # A column basis, whose principal block is nonsingular since m is symmetric.
+    cols = pivot_columns(m)
+    assert cols == sorted(cols) and len(cols) == rank_rational(m)
+    assert rank_rational([[row[j] for j in cols] for row in m]) == len(cols)
+    block = [[m[i][j] for j in cols] for i in cols]
+    assert rank_rational(block) == len(cols)
 
 
 @given(sym_matrices)

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from murlab.polynomials import (
     Poly,
+    integer_roots,
     poly_ext_gcd,
     poly_gcd,
     rational_roots,
@@ -63,6 +64,33 @@ def test_rational_roots():
     assert rational_roots(P(-1, 2) * P(3, 1)) == [-3, Fraction(1, 2)]
     assert rational_roots(P(0, 0, 1)) == [0]
     assert rational_roots(P(1, 0, 1)) == []
+    # 6x^3 - 5x^2 - 2x + 1 = (x - 1)(2x + 1)(3x - 1), leading coefficient > 1
+    assert rational_roots(P(1, -2, -5, 6)) == [Fraction(-1, 2), Fraction(1, 3), 1]
+    assert rational_roots(P(7)) == []
+
+
+def test_integer_roots():
+    # (x + 1)(x - 1)(x - 2)^2 = x^4 - 4x^3 + 3x^2 + 4x - 4
+    assert integer_roots([-4, 4, 3, -4, 1]) == [(-1, 1), (1, 1), (2, 2)]
+    assert integer_roots([0, 0, -4, 0, 1]) == [(-2, 1), (0, 2), (2, 1)]
+    assert integer_roots([1, 0, 1]) == []
+    # (x + 12)(x - 5): -12 lies beyond max_k |c_(n-k)|^(1/k), within twice it
+    assert integer_roots([-60, 7, 1]) == [(-12, 1), (5, 1)]
+    assert integer_roots([1]) == []
+
+
+@given(
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.lists(st.integers(-10, 10), min_size=2, max_size=2),
+)
+def test_integer_roots_with_multiplicity(roots, quadratic):
+    # A product of linear factors and a monic quadratic: its integer roots
+    # lie within 11 of 0, so a scan of -30..30 finds every one.
+    p = P(*quadratic, 1)
+    for r in roots:
+        p = p * P(-r, 1)
+    want = [(y, e) for y in range(-30, 31) if (e := root_multiplicity(p, y)[0])]
+    assert integer_roots([int(c) for c in p.coeffs]) == want
 
 
 coeffs = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6), max_size=6)

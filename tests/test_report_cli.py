@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from murlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from murlab.engine import Budget, MurResult, _algebraic_drops, compute_mur, mur_spread
+from murlab.engine import (
+    Budget,
+    Certificate,
+    MurResult,
+    _refine_algebraic,
+    compute_mur,
+    mur_spread,
+)
 from murlab.graphs import (
     Graph,
     complete,
@@ -110,10 +117,11 @@ def test_replay_catches_tampering():
 
 @pytest.mark.parametrize("key", ["branch", "beta", "gamma", "delta"])
 def test_replay_rejects_unreadable_algebraic_coefficients(key):
-    """P'6 with the rank at its first irrational Laplacian-shift point."""
+    """P'6 with its lowest rank at an irrational Laplacian-shift point."""
     g = p_prime(6)
     res = compute_mur(g, FAST)
-    upper, ucert = next(_algebraic_drops(g, g.n))
+    upper, ucert = _refine_algebraic(g, 0, g.n, Certificate("trivial"))
+    assert "modulus" in ucert.data
     doc = build_report(g, MurResult(res.lower, res.lower_cert, upper, ucert), FAST, 0.1)
     assert all(c.ok for c in replay_report(doc))
     doc["upper_certificate"]["data"][key][0] = "1e999999999"
