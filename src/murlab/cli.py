@@ -23,30 +23,12 @@ EXIT_USAGE = 2
 
 
 def _budget_from_args(args) -> Budget:
-    return Budget(
-        search_nodes=args.budget,
-        grid_den=args.grid_den,
-        grid_num=args.grid_num,
-        random_points=args.random_points,
-        seed=args.seed,
-        algebraic=not args.no_algebraic,
-    )
+    return Budget(search_nodes=args.budget)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=Budget.search_nodes,
                    help="search node budget for the induced-path searches (default %(default)s)")
-    p.add_argument("--grid-den", type=int, default=Budget.grid_den,
-                   help="search the delta lines p/q with q up to this (default %(default)s)")
-    p.add_argument("--grid-num", type=int, default=Budget.grid_num,
-                   help="search the delta lines p/q with |p| up to this (default %(default)s)")
-    p.add_argument("--random-points", type=int, default=Budget.random_points,
-                   help="also search the delta lines of this many seeded random points "
-                        "(default %(default)s)")
-    p.add_argument("--seed", type=int, default=Budget.seed,
-                   help="seed for those random points (default %(default)s)")
-    p.add_argument("--no-algebraic", action="store_true",
-                   help="skip the algebraic eigenvalue refinement step")
 
 
 def _load_graph(token: str) -> Graph:

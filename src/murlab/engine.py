@@ -8,7 +8,6 @@ universal rank whenever the two meet.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -207,8 +206,12 @@ class MurResult:
 
 @dataclass(frozen=True)
 class Budget:
-    """Search effort.  The grid p/q (q <= grid_den, |p| <= grid_num) and the
-    delta of random_points seeded points add lines to the delta search."""
+    """Search effort: the node budget of the induced-path searches.
+
+    grid_den, grid_num, random_points, seed and algebraic are retired: no
+    murlab code reads them, and reports record the search actually run.
+    They remain only so that budgets written for earlier versions still
+    construct."""
 
     search_nodes: int = DEFAULT_NODE_BUDGET
     grid_den: int = 4
@@ -581,31 +584,32 @@ def _param_cert(p: ParamPoint, rank: int) -> Certificate:
     )
 
 
-def _delta_lines(g: Graph, budget: Budget) -> list[Fraction]:
-    """The delta values searched, each once, structured ones first: 0 and
-    +-1, +-1/(d-1) and +-1/d for each degree d (the clique construction
-    delta = 1/(r-1) with r = d + 1 or r = d), -1/(2k) for k <= n/2 (the
-    near-path families), the grid, and the delta of each random point."""
-    deltas = [Fraction(0), Fraction(-1), Fraction(1)]
-    for d in sorted(set(g.degrees())):
+def _clique_lines(degrees: Iterable[int]) -> Iterator[Fraction]:
+    """+-1/(d-1) and +-1/d for each degree d: the clique construction
+    delta = 1/(r-1) with r = d + 1 or r = d."""
+    for d in sorted(set(degrees)):
         if d >= 2:
-            deltas.extend((Fraction(1, d - 1), Fraction(-1, d - 1)))
+            yield from (Fraction(1, d - 1), Fraction(-1, d - 1))
         if d >= 1:
-            deltas.extend((Fraction(1, d), Fraction(-1, d)))
-    deltas.extend(Fraction(-1, 2 * k) for k in range(1, g.n // 2 + 1))
-    deltas.extend(
-        sorted(
-            {
-                Fraction(p, q)
-                for q in range(1, budget.grid_den + 1)
-                for p in range(-budget.grid_num, budget.grid_num + 1)
-            }
-        )
-    )
-    rng = random.Random(budget.seed)
-    for _ in range(budget.random_points):
-        _beta, _gamma, delta = (Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(3))
-        deltas.append(delta)
+            yield from (Fraction(1, d), Fraction(-1, d))
+
+
+def _delta_lines(g: Graph) -> list[Fraction]:
+    """The delta values searched, each once: 0 and +-1, the clique lines of
+    g's degrees, -1/(2k) for k <= n/2 (the near-path families), then the
+    clique lines of the complement's degrees n-1-d.
+
+    ``complement_params`` keeps delta, so a line that lowers the rank of the
+    complement lowers that of g by as much; g and its complement get the
+    same set of lines.
+    """
+    n, degrees = g.n, g.degrees()
+    deltas = [
+        Fraction(0), Fraction(-1), Fraction(1),
+        *_clique_lines(degrees),
+        *(Fraction(-1, 2 * k) for k in range(1, n // 2 + 1)),
+        *_clique_lines(n - 1 - d for d in degrees),
+    ]
     return list(dict.fromkeys(deltas))
 
 
@@ -645,10 +649,8 @@ def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> ParamPoint:
     return ParamPoint(Fraction(-mu, s), gamma, delta)
 
 
-def search_lines(
-    g: Graph, budget: Budget, lower: int, upper: int, cert: Certificate
-) -> tuple[int, Certificate]:
-    """The lowest rank found on the budget's delta lines, if below ``upper``.
+def search_lines(g: Graph, lower: int, upper: int, cert: Certificate) -> tuple[int, Certificate]:
+    """The lowest rank found on the delta lines, if below ``upper``.
 
     A + delta*D is symmetric, so rank(A + beta*I + delta*D) = n - mult(lambda)
     at beta = -lambda for an eigenvalue lambda, and n elsewhere; each
@@ -656,7 +658,7 @@ def search_lines(
     at its ``_drop_point``.  The search stops once it reaches ``lower``.
     """
     n = g.n
-    for delta in _delta_lines(g, budget):
+    for delta in _delta_lines(g):
         if upper <= lower:
             break
         m, eigenvalues = _line_eigenvalues(g, delta)
@@ -674,7 +676,10 @@ def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[AlgebraicContext, Par
     """Laplacian-shift points at irrational eigenvalues, one per squarefree factor.
 
     Every root of each factor is a genuine (real) Laplacian eigenvalue, so the
-    rank at any branch of such a point is a valid upper bound.
+    rank at any branch of such a point is a valid upper bound.  These points
+    are not part of the bounds pipeline (they never went below the delta
+    search); they build the algebraic ``explicit_params`` certificates of
+    replay data and tests.
     """
     n = g.n
     if n == 0:
@@ -711,7 +716,8 @@ def _alg_param_cert(ctx: AlgebraicContext, branch: Poly, p: ParamPoint, rank: in
 
 def _refine_algebraic(g, lower, upper, ucert):
     """The lowest rank below ``upper`` at an irrational Laplacian-shift
-    point, stopping at ``lower``."""
+    point, stopping at ``lower``, with its algebraic certificate; for replay
+    data and tests, not the bounds pipeline."""
     for ctx, p in algebraic_eigen_candidates(g):
         if upper <= lower:
             break
@@ -721,25 +727,22 @@ def _refine_algebraic(g, lower, upper, ucert):
     return upper, ucert
 
 
-def _upper_bounds(g: Graph, budget: Budget, lower: int) -> Iterator[tuple[int, Certificate]]:
-    """The structural upper bound, then the bound the search lowers it to,
-    if any: the delta lines, then the algebraic refinement, each stopping
-    once the bound reaches ``lower``."""
+def _upper_bounds(g: Graph, lower: int) -> Iterator[tuple[int, Certificate]]:
+    """The structural upper bound, then the bound the delta search lowers
+    it to, if any; the search stops once the bound reaches ``lower``."""
     upper, cert = structural_upper(g)
     yield upper, cert
-    found = search_lines(g, budget, lower, upper, cert)
-    if budget.algebraic:
-        found = _refine_algebraic(g, lower, *found)
+    found = search_lines(g, lower, upper, cert)
     if found[0] < upper:
         yield found
 
 
-def mur_upper(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certificate]:
+def mur_upper(g: Graph) -> tuple[int, Certificate]:
     """Best certified upper bound: a family value, else the lowest the search reaches."""
     fam = family_mur(g)
     if fam is not None:
         return fam
-    *_, last = _upper_bounds(g, budget, 0)
+    *_, last = _upper_bounds(g, 0)
     return last
 
 
@@ -755,7 +758,8 @@ def compute_mur(
     A family formula settles the value at once.  Otherwise a minors
     combination is tried at the structural upper bound and, if that fails,
     once more at the bound the search brings it to; the search stops as
-    soon as the two bounds meet.
+    soon as the two bounds meet.  If the attempt at the final upper bound u
+    fails, one more at u - 1 may still raise the lower bound.
     """
     n = g.n
     if n == 0:
@@ -773,7 +777,7 @@ def compute_mur(
             lcert = Certificate("family_formula", dict(ucert.data))
             lower = value
         return MurResult(value, lcert, value, ucert, budget_exhausted=exhausted)
-    for upper, ucert in _upper_bounds(g, budget, lower):
+    for upper, ucert in _upper_bounds(g, lower):
         if lower > upper:
             raise EngineError(f"bounds crossed: lower {lower} > upper {upper}")
         if lower == upper:
@@ -782,6 +786,10 @@ def compute_mur(
         if mcert is not None:
             lower, lcert = upper, mcert
             break
+    else:  # the attempt at the final upper bound failed
+        mcert = minors_combination(g, upper - 1) if lower < upper - 1 else None
+        if mcert is not None:
+            lower, lcert = upper - 1, mcert
     return MurResult(lower, lcert, upper, ucert, budget_exhausted=exhausted)
 
 

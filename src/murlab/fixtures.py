@@ -14,7 +14,6 @@ from fractions import Fraction
 from . import graphs
 from .algebraic import AlgebraicContext
 from .engine import (
-    Budget,
     Certificate,
     ParamPoint,
     minors_combination,
@@ -97,7 +96,7 @@ def _generalized_star() -> FixtureReport:
     else:
         lower, msg = _replay_lower(g, {"kind": cert.kind, "data": cert.data})
     details = [f"replayed lower bound {lower} {msg}".rstrip()]
-    _, found = search_lines(g, Budget(), 3, g.n, Certificate("trivial"))
+    _, found = search_lines(g, 3, g.n, Certificate("trivial"))
     best, point = g.n, "no point"
     if found.kind == "explicit_params":
         p = _parse_point(found.data)

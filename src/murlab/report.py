@@ -67,12 +67,14 @@ def build_report(
         "lower_certificate": _cert_dict(result.lower_cert),
         "upper_certificate": _cert_dict(result.upper_cert),
         "budget": {
+            # The keys are part of the format; the delta search has no grid,
+            # random points or candidate cap, so those read 0 and null.
             "search_nodes": budget.search_nodes,
-            "grid_den": budget.grid_den,
-            "grid_num": budget.grid_num,
-            "random_points": budget.random_points,
-            "max_candidates": None,  # no cap; the key is part of the format
-            "seed": budget.seed,
+            "grid_den": 0,
+            "grid_num": 0,
+            "random_points": 0,
+            "max_candidates": None,
+            "seed": 0,
         },
         "budget_exhausted": result.budget_exhausted,
         "elapsed_seconds": elapsed,

@@ -46,9 +46,6 @@ from murlab.verify import (
     suite_spread_bounds,
 )
 
-LEAN = Budget(grid_den=2, grid_num=2, random_points=30, algebraic=False)
-
-
 def announce(criterion: str, failures: list):
     status = "FAIL" if failures else "PASS"
     print(f"\nACCEPTANCE {criterion}: {status}")
@@ -157,10 +154,14 @@ def test_criterion_3_seven_vertex_corpus():
     exact = 0
     start = time.monotonic()
     for i, g in enumerate(graphs):
-        res = compute_mur(g, LEAN)
+        res = compute_mur(g, Budget())
         exact += res.exact
         if not 0 <= res.lower <= res.upper <= 5:
             failures.append(f"graph {i}: [{res.lower}, {res.upper}]")
+        # A minors attempt one order below the upper bound closes every wider
+        # gap: no interval may be open by more than one.
+        if res.upper - res.lower > 1:
+            failures.append(f"graph {i}: [{res.lower}, {res.upper}] is open by more than 1")
     elapsed = time.monotonic() - start
     if elapsed >= 300:
         failures.append(f"corpus took {elapsed:.1f}s (limit 300)")

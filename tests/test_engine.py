@@ -42,7 +42,9 @@ from murlab.graphs import (
 from murlab.matrices import charpoly, det_int, rank_rational
 from murlab.polynomials import rational_roots
 
-FAST = Budget(grid_den=2, grid_num=2, random_points=20, algebraic=False)
+# The grid and seeded random points of the old 3-D candidate stream, kept
+# as the reference the delta search is checked against.
+OLD_GRID_DEN, OLD_GRID_NUM, OLD_RANDOM_POINTS, OLD_SEED = 2, 2, 20, 0
 
 
 def test_universal_matrix_examples():
@@ -107,25 +109,25 @@ def test_mur_lower_examples():
 
 
 def test_mur_upper_examples():
-    assert mur_upper(cycle(6), FAST)[0] == 3
-    assert mur_upper(complete(5), FAST)[0] == 0
-    up, cert = mur_upper(disjoint_union([complete(3), empty(2)]), FAST)
+    assert mur_upper(cycle(6))[0] == 3
+    assert mur_upper(complete(5))[0] == 0
+    up, cert = mur_upper(disjoint_union([complete(3), empty(2)]))
     assert up == 1
 
 
 def test_compute_mur_examples():
-    assert compute_mur(path(6), FAST).value == 4
-    assert compute_mur(cycle(7), FAST).value == 4
-    assert compute_mur(disjoint_union([path(3), path(3)]), FAST).value == 3
-    assert compute_mur(petersen(), FAST).value == 4
-    assert compute_mur(clique_isolated_apex(4, 4), FAST).value == 2
-    assert compute_mur(empty(0), FAST).value == 0
+    assert compute_mur(path(6)).value == 4
+    assert compute_mur(cycle(7)).value == 4
+    assert compute_mur(disjoint_union([path(3), path(3)])).value == 3
+    assert compute_mur(petersen()).value == 4
+    assert compute_mur(clique_isolated_apex(4, 4)).value == 2
+    assert compute_mur(empty(0)).value == 0
 
 
 def test_compute_mur_without_family_shortcuts():
     for g in (cycle(6), complete_bipartite(3, 3), disjoint_union([cycle(4), cycle(4)])):
         exact = compute_mur(g)
-        res = compute_mur(g, FAST, use_families=False)
+        res = compute_mur(g, use_families=False)
         assert res.lower <= exact.value <= res.upper
 
 
@@ -154,24 +156,24 @@ def graphs_strategy(max_n=6):
 @settings(max_examples=40, deadline=None)
 @given(graphs_strategy())
 def test_bounds_are_ordered_and_within_range(g):
-    res = compute_mur(g, FAST)
+    res = compute_mur(g)
     assert 0 <= res.lower <= res.upper <= max(g.n - 2, 0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(graphs_strategy(5), st.data())
 def test_rank_never_below_certified_lower(g, data):
-    lo, _, _ = mur_lower(g, FAST)
+    lo, _, _ = mur_lower(g)
     fr = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     p = ParamPoint(data.draw(fr), data.draw(fr), data.draw(fr))
     assert rank_rational(universal_matrix(g, p)) >= lo
 
 
-def _line_points(g, budget, data):
+def _line_points(g, data):
     """On each of the search's delta lines, the point of lowest rank at each
     rational eigenvalue, and a point with that beta and a drawn gamma."""
     fr = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-    for delta in engine._delta_lines(g, budget):
+    for delta in engine._delta_lines(g):
         m, eigenvalues = engine._line_eigenvalues(g, delta)
         for mu, _ in eigenvalues:
             p = engine._drop_point(m, mu, delta)
@@ -185,15 +187,15 @@ def test_rank_never_below_computed_lower(g, data):
     # compute_mur may raise the lower bound with a minors certificate and then
     # skip the search, so check its bound against points on the search's
     # lines too.
-    lo = compute_mur(g, FAST).lower
+    lo = compute_mur(g).lower
     fr = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     points = [ParamPoint(data.draw(fr), data.draw(fr), data.draw(fr))]
-    points += _line_points(g, FAST, data)
+    points += _line_points(g, data)
     for p in points:
         assert rank_rational(universal_matrix(g, p)) >= lo
 
 
-def _old_candidates(g, budget):
+def _old_candidates(g):
     """The 3-D candidate points the search along delta lines replaced:
     presets, structured points, Laplacian shifts, reciprocal points, the
     grid and the seeded random points, in their old order."""
@@ -232,15 +234,15 @@ def _old_candidates(g, budget):
         yield ParamPoint(Fraction(0), Fraction(-1, 2 * k), Fraction(0))
         yield ParamPoint(Fraction(0), Fraction(0), Fraction(-1, 2 * k))
     values = sorted(
-        {Fraction(p, q) for q in range(1, budget.grid_den + 1)
-         for p in range(-budget.grid_num, budget.grid_num + 1)}
+        {Fraction(p, q) for q in range(1, OLD_GRID_DEN + 1)
+         for p in range(-OLD_GRID_NUM, OLD_GRID_NUM + 1)}
     )
     for beta in values:
         for gamma in values:
             for delta in values:
                 yield ParamPoint(beta, gamma, delta)
-    rng = random.Random(budget.seed)
-    for _ in range(budget.random_points):
+    rng = random.Random(OLD_SEED)
+    for _ in range(OLD_RANDOM_POINTS):
         yield ParamPoint(*(Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(3)))
 
 
@@ -248,16 +250,29 @@ def _old_candidates(g, budget):
 @given(graphs_strategy(7))
 @example(parse_graph6("Fh_gG"))  # rank 4 at (-1, -1/5, 0), off the old grid
 @example(parse_graph6("F?~y?"))  # rank 3 at gamma = -10/7
+# Complements of clique-plus-isolated graphs: their lowest rank is on a line
+# from the complement's degrees.
+@example(parse_graph6("E?~w"))
+@example(parse_graph6("F?~w?"))
+@example(parse_graph6("F?B~w"))
+@example(parse_graph6("F~~v_"))
 def test_search_never_above_an_old_candidate(g):
-    # Every old candidate lies on a searched delta line, and on each line the
-    # search finds the lowest rank over all rational (beta, gamma).
-    old = list(_old_candidates(g, FAST))
-    assert {p.delta for p in old} <= set(engine._delta_lines(g, FAST))
-    upper, cert = search_lines(g, FAST, 0, *engine.structural_upper(g))
+    # On each line the search finds the lowest rank over all rational
+    # (beta, gamma); the structured lines reach as low as any old candidate.
+    old = list(_old_candidates(g))
+    upper, cert = search_lines(g, 0, *engine.structural_upper(g))
     assert upper <= min(rank_rational(universal_matrix(g, p)) for p in old)
     if cert.kind == "explicit_params":
         p = ParamPoint.rational(*(Fraction(cert.data[k]) for k in ("beta", "gamma", "delta")))
         assert rank_rational(universal_matrix(g, p)) == cert.data["rank"] == upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_strategy(7))
+@example(parse_graph6("E?~w"))
+def test_delta_lines_closed_under_complement(g):
+    # complement_params keeps delta, so both sides search the same lines.
+    assert set(engine._delta_lines(g)) == set(engine._delta_lines(g.complement()))
 
 
 def _points_minor(g, k, rows, cols):
@@ -365,6 +380,15 @@ def test_minors_certificate_stops_the_search(monkeypatch):
     assert len(calls) < 100
 
 
+@pytest.mark.parametrize("g6", ["Fpa?g", "Fgog_"])
+def test_minors_one_order_below_the_upper_bound(g6):
+    # The minors attempt at the upper bound 5 fails, and the path forest
+    # gives only 3; 4 x 4 minors combine to 1, so the interval is [4, 5].
+    res = compute_mur(parse_graph6(g6))
+    assert res.interval() == (4, 5)
+    assert res.lower_cert.kind == "minor_combination" and res.lower_cert.data["k"] == 4
+
+
 def test_spread_bounds_formula():
     # P5 middle vertex: degree 2, n = 5
     assert spread_bounds(path(5), 2) == (-2, 4)
@@ -373,14 +397,14 @@ def test_spread_bounds_formula():
 
 
 def test_mur_spread_examples():
-    res = mur_spread(path(5), 0, FAST)
+    res = mur_spread(path(5), 0)
     assert res.value == 1
-    res = mur_spread(star(5), 1, FAST)  # pendant vertex
+    res = mur_spread(star(5), 1)  # pendant vertex
     assert res.value == 0
     with pytest.raises(EngineError):
-        mur_spread(path(5), 9, FAST)
+        mur_spread(path(5), 9)
     with pytest.raises(EngineError):
-        mur_spread(empty(1), 0, FAST)
+        mur_spread(empty(1), 0)
 
 
 def test_mixed_algebraic_contexts_rejected():

@@ -15,7 +15,6 @@ from murlab.engine import Budget, Certificate, MurResult, compute_mur, mur_sprea
 from murlab.graphs import complete_bipartite, cycle, p_prime, path, petersen
 from murlab.report import ReportError, build_report, replay_report
 
-FAST = Budget(grid_den=2, grid_num=2, random_points=20, algebraic=False)
 
 # (graph, mur); P5 is the graph left by deleting vertex 0 of P6
 KNOWN = [
@@ -36,8 +35,8 @@ def genuine_reports():
     docs = []
     for g, mur in KNOWN:
         for use_families in (True, False):
-            res = compute_mur(g, FAST, use_families=use_families)
-            docs.append((mur, None, build_report(g, res, FAST, 0.1)))
+            res = compute_mur(g, Budget(), use_families=use_families)
+            docs.append((mur, None, build_report(g, res, Budget(), 0.1)))
         # Weaker but still certified intervals, on which one changed bound
         # can cross mur and still leave the bounds ordered and the exact
         # flag consistent.
@@ -45,10 +44,10 @@ def genuine_reports():
             MurResult(0, Certificate("trivial"), res.upper, res.upper_cert),
             MurResult(res.lower, res.lower_cert, g.n - 2, Certificate("order_bound", {})),
         ):
-            docs.append((mur, None, build_report(g, weak, FAST, 0.1)))
+            docs.append((mur, None, build_report(g, weak, Budget(), 0.1)))
     g = path(6)
-    spread = mur_spread(g, 0, FAST)
-    docs.append((4, MUR_P5, build_report(g, spread.whole, FAST, 0.1, spread)))
+    spread = mur_spread(g, 0)
+    docs.append((4, MUR_P5, build_report(g, spread.whole, Budget(), 0.1, spread)))
     for _, _, doc in docs:
         assert all(c.ok for c in replay_report(doc))
     return docs

@@ -31,13 +31,10 @@ from murlab.report import (
     report_to_json,
 )
 
-FAST = Budget(grid_den=2, grid_num=2, random_points=20, algebraic=False)
-
-
 def make_report(g, spread_vertex=None):
-    res = compute_mur(g, FAST)
-    spread = mur_spread(g, spread_vertex, FAST) if spread_vertex is not None else None
-    return build_report(g, res, FAST, 0.1, spread)
+    res = compute_mur(g)
+    spread = mur_spread(g, spread_vertex) if spread_vertex is not None else None
+    return build_report(g, res, Budget(), 0.1, spread)
 
 
 def report_with_beta(beta):
@@ -49,6 +46,21 @@ def report_with_beta(beta):
         "data": {"beta": beta, "gamma": "0", "delta": "0", "rank": 5},
     }
     return doc
+
+
+def test_report_budget_records_the_search_run():
+    # The budget keys are frozen by the format; the delta search has no grid,
+    # random points or candidate cap, whatever the retired fields hold.
+    res = compute_mur(cycle(5))
+    for budget in (Budget(), Budget(search_nodes=7, grid_den=3, random_points=9, seed=4)):
+        assert build_report(cycle(5), res, budget, 0.1)["budget"] == {
+            "search_nodes": budget.search_nodes,
+            "grid_den": 0,
+            "grid_num": 0,
+            "random_points": 0,
+            "max_candidates": None,
+            "seed": 0,
+        }
 
 
 def test_report_roundtrip():
@@ -119,10 +131,10 @@ def test_replay_catches_tampering():
 def test_replay_rejects_unreadable_algebraic_coefficients(key):
     """P'6 with its lowest rank at an irrational Laplacian-shift point."""
     g = p_prime(6)
-    res = compute_mur(g, FAST)
+    res = compute_mur(g)
     upper, ucert = _refine_algebraic(g, 0, g.n, Certificate("trivial"))
     assert "modulus" in ucert.data
-    doc = build_report(g, MurResult(res.lower, res.lower_cert, upper, ucert), FAST, 0.1)
+    doc = build_report(g, MurResult(res.lower, res.lower_cert, upper, ucert), Budget(), 0.1)
     assert all(c.ok for c in replay_report(doc))
     doc["upper_certificate"]["data"][key][0] = "1e999999999"
     check = next(c for c in replay_report(doc) if c.name == "upper certificate")
@@ -159,14 +171,14 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_mur_graph6(capsys):
-    code, out, _ = run_cli(capsys, "mur", encode_graph6(path(6)), "--no-algebraic")
+    code, out, _ = run_cli(capsys, "mur", encode_graph6(path(6)))
     assert code == EXIT_OK
     assert "mur = 4 (exact)" in out
 
 
 def test_cli_mur_complement(capsys):
     code, out, _ = run_cli(
-        capsys, "mur", encode_graph6(complete(5)), "--complement", "--no-algebraic"
+        capsys, "mur", encode_graph6(complete(5)), "--complement"
     )
     assert code == EXIT_OK
     assert "mur = 0 (exact)" in out
@@ -175,7 +187,7 @@ def test_cli_mur_complement(capsys):
 def test_cli_mur_edge_list_file(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text("0 1\n1 2\n2 3\n")
-    code, out, _ = run_cli(capsys, "mur", str(f), "--no-algebraic")
+    code, out, _ = run_cli(capsys, "mur", str(f))
     assert code == EXIT_OK
     assert "mur = 2 (exact)" in out
 
@@ -193,8 +205,7 @@ def test_cli_mur_json_and_spread(capsys, monkeypatch):
     monkeypatch.setattr(murlab.engine, "compute_mur", counted)
     monkeypatch.setattr(murlab.cli, "compute_mur", counted)
     code, out, _ = run_cli(
-        capsys, "mur", encode_graph6(path(5)), "--json", "--spread", "0",
-        "--no-algebraic",
+        capsys, "mur", encode_graph6(path(5)), "--json", "--spread", "0"
     )
     assert code == EXIT_OK
     # mur(G) is computed once, for the whole graph and the spread together
@@ -221,6 +232,17 @@ def test_cli_mur_json_replays_minor_combination(tmp_path, capsys):
     assert code == EXIT_OK and "replay: ok" in out
 
 
+@pytest.mark.parametrize(
+    "flag", [["--grid-den", "2"], ["--grid-num", "2"], ["--random-points", "5"],
+             ["--seed", "1"], ["--no-algebraic"]],
+)
+def test_cli_search_flags_are_gone(capsys, flag):
+    for command in (["mur", "A_"], ["batch", "graphs.g6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == EXIT_USAGE
+
+
 def test_cli_mur_bad_input(capsys):
     code, _, err = run_cli(capsys, "mur", "B\x07")
     assert code == EXIT_USAGE and "error" in err
@@ -236,7 +258,7 @@ def test_cli_batch(tmp_path, capsys):
     ]
     f = tmp_path / "batch.g6"
     f.write_text("\n".join(tokens) + "\n")
-    code, out, err = run_cli(capsys, "batch", str(f), "--no-algebraic")
+    code, out, err = run_cli(capsys, "batch", str(f))
     assert code == EXIT_OK
     assert out.count("(exact)") == 11
     assert "11 graphs, 11 exact, 0 interval, 0 errors" in err
@@ -245,7 +267,7 @@ def test_cli_batch(tmp_path, capsys):
 def test_cli_batch_bad_line_continues(tmp_path, capsys):
     f = tmp_path / "batch.g6"
     f.write_text("A_\n!!bad!!\nBw\n")
-    code, out, err = run_cli(capsys, "batch", str(f), "--no-algebraic")
+    code, out, err = run_cli(capsys, "batch", str(f))
     assert code == EXIT_USAGE
     assert out.count("(exact)") == 2
     assert "line 2: error" in err
