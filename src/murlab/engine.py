@@ -8,12 +8,13 @@ universal rank whenever the two meet.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from math import comb, gcd, inf, lcm
-from operator import mul
+from math import factorial, gcd, inf, lcm
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebraic import AlgebraicContext, AlgebraicNumber
@@ -57,17 +58,11 @@ class ParamPoint:
 
 def universal_matrix(g: Graph, p: ParamPoint) -> list[list]:
     """A + beta*I + gamma*J + delta*D as a dense matrix of exact scalars."""
-    degs = g.degrees()
+    off = (p.gamma + 0, 1 + p.gamma)  # off the diagonal: no edge, edge
     out = []
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            if i == j:
-                row.append(p.beta + p.gamma + p.delta * degs[i])
-            elif g.has_edge(i, j):
-                row.append(1 + p.gamma)
-            else:
-                row.append(p.gamma + 0)
+    for i, (bits, deg) in enumerate(zip(g.rows, g.degrees())):
+        row = [off[bits >> j & 1] for j in range(g.n)]
+        row[i] = p.beta + p.gamma + p.delta * deg
         out.append(row)
     return out
 
@@ -77,9 +72,10 @@ def _integer_universal_matrix(g: Graph, p: ParamPoint) -> list[list[int]]:
     denominators: an integer matrix of the same rank."""
     s = lcm(p.beta.denominator, p.gamma.denominator, p.delta.denominator)
     b, c, d = (x.numerator * (s // x.denominator) for x in (p.beta, p.gamma, p.delta))
+    off = (c, s + c)
     out = []
-    for i, deg in enumerate(g.degrees()):
-        row = [s + c if g.has_edge(i, j) else c for j in range(g.n)]
+    for i, (bits, deg) in enumerate(zip(g.rows, g.degrees())):
+        row = [off[bits >> j & 1] for j in range(g.n)]
         row[i] = b + c + d * deg
         out.append(row)
     return out
@@ -296,123 +292,264 @@ _MINOR_STAGE_WORK = 1_500_000
 
 
 def minor_points(k: int) -> list[tuple[int, int, int]]:
-    """Integer (beta, gamma, delta) points on which a minors identity is checked.
+    """Integer (beta, gamma, delta) points on which a minors identity can be
+    checked, and the index of a minor's coefficients.
 
     Every k x k minor is affine in gamma (gamma*J has rank one) and of total
     degree <= k in (beta, delta), as is the constant 1.  The (k+1)(k+2)
     points gamma in {0, 1}, beta, delta >= 0, beta + delta <= k are
     unisolvent for that space, so an identity between such polynomials that
-    holds on these points holds everywhere.
+    holds on these points holds everywhere.  ``minor_coefficients`` lists a
+    minor's coefficients in the same order: the i-th, for the i-th point
+    (b, c, d), is that of beta**b * delta**d in the minor at gamma = c.
     """
     return [
         (b, c, d) for c in (0, 1) for b in range(k + 1) for d in range(k + 1 - b)
     ]
 
 
-# Largest sub-minor tables, in values stored, that ``minor_values`` builds:
-# sum over j < k of C(n, j) * (k+1)(k+2).  It covers every order on up to
-# nine vertices; beyond it the tables cost more than they save.
-_MINOR_TABLE_CELLS = 1 << 16
+def constant_one(k: int) -> list[int]:
+    """The constant 1 as coefficients in the order of ``minor_points(k)``."""
+    return [int(b == d == 0) for b, _, d in minor_points(k)]
+
 
 IndexSet = Sequence[int]
 
+# Highest order whose minors are expanded from sub-minor tables.  A fresh
+# k x k minor fills up to 2**k table entries, while a determinant at each
+# minor point costs about k**5 small steps.  Timed on the pairs a search
+# tries (2-core host, Python 3.11), the tables are 1.4-6x faster at order
+# 10 on 11 to 30 vertices, but 1.5-1.8x slower at order 11 on 18 or more
+# vertices and about 3x slower at order 12 on 14 or more.
+_TABLE_ORDER = 10
+# Packed bits the sub-minor tables may hold before they are cleared.  A
+# replayed document may list any number of column sets on one row prefix,
+# and the tables would keep every sub-minor of them.
+_TABLE_BITS = 1 << 27
 
-def minor_values(
-    g: Graph, k: int, pairs: Iterable[tuple[IndexSet, IndexSet]]
-) -> Iterator[tuple[IndexSet, IndexSet, list[int]]]:
-    """(rows, cols, values) for each pair, values the k x k minor of the
-    universal matrix on rows x cols (in the order given) at each point of
-    ``minor_points(k)``.
 
-    Within the cell budget the minors come from sub-minor tables, one per
-    row prefix: det U[R, C] is expanded along the last row of R, and the
-    (k-1)-minors of R[:-1] are read from that prefix's table, kept while
-    consecutive pairs share the prefix.  Each table entry is a list over all
-    the points, so one list operation replaces a determinant per point.
-    Larger orders take an integer determinant at each point.
+def _slot_width(n: int, k: int) -> int:
+    """Bits per coefficient slot of a packed k x k minor on n vertices.
+
+    A j x j minor, and each partial sum of its cofactor expansion, has
+    coefficients no larger in absolute value than the permanent of the
+    entries' coefficient 1-norms.  A row's norms sum to at most
+    2(k-1) + n + 1 < 3n (1 or 2 off the diagonal, 1 + 1 + deg on it), so
+    every coefficient is below (3n)**k and fits a signed slot of w bits
+    once (3n)**k <= 2**(w-1).  w doubles from 8, so that slots of up to 64
+    bits are machine integers.
     """
-    mats = [universal_matrix(g, ParamPoint(b, c, d)) for b, c, d in minor_points(k)]
-    cells = sum(comb(g.n, j) for j in range(k)) * len(mats)
-    if k == 0 or cells > _MINOR_TABLE_CELLS:
+    w = 8
+    while (3 * n) ** k > 1 << (w - 1):
+        w *= 2
+    return w
+
+
+def _unpacker(k: int, w: int):
+    """Decoder of a packed minor into its coefficients of total degree <= k,
+    in the order of one gamma half of ``minor_points(k)``.
+
+    Adding 2**(w-1) to every slot makes each slot nonnegative, so no slot
+    borrows from the next; flipping each slot's top bit back then leaves
+    every coefficient in its slot in two's complement.  One ``to_bytes``
+    call in the machine's byte order lays the slots out as signed machine
+    integers, last slot first on a big-endian machine.
+    """
+    nslots = (k + 1) ** 2
+    offset = (1 << (w - 1)) * ((1 << w * nslots) - 1) // ((1 << w) - 1)
+    nbytes = w * nslots // 8
+    slots = [b + (k + 1) * d for b, c, d in minor_points(k) if not c]
+    if sys.byteorder == "big":
+        slots = [nslots - 1 - s for s in slots]
+    pick = itemgetter(*slots)
+    fmt = next((f for f in "bhilq" if memoryview(bytes(8)).cast(f).itemsize * 8 == w), None)
+    if fmt is None:  # slots wider than a machine integer
+        step = w // 8
+
+        def unpack(p: int) -> tuple[int, ...]:
+            data = ((p + offset) ^ offset).to_bytes(nbytes, sys.byteorder)
+            return pick([
+                int.from_bytes(data[i:i + step], sys.byteorder, signed=True)
+                for i in range(0, nbytes, step)
+            ])
+
+        return unpack
+
+    def unpack(p: int) -> tuple[int, ...]:
+        data = ((p + offset) ^ offset).to_bytes(nbytes, sys.byteorder)
+        return pick(memoryview(data).cast(fmt))
+
+    return unpack
+
+
+@lru_cache(maxsize=None)
+def _newton_basis(k: int) -> tuple[tuple[int, ...], ...]:
+    """rows[a]: the coefficients of k! * binomial(x, a), lowest power first."""
+    rows, falling = [], [1]  # falling: x(x-1)...(x-a+1)
+    for a in range(k + 1):
+        scale = factorial(k) // factorial(a)
+        rows.append(tuple(scale * c for c in falling))
+        falling = [lo - a * hi for lo, hi in zip([0] + falling, falling + [0])]
+    return tuple(rows)
+
+
+def _differences(seq: list[int]) -> list[int]:
+    """The forward differences of seq at its first term, of order 0, 1, ..."""
+    out = []
+    while seq:
+        out.append(seq[0])
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    return out
+
+
+def _interpolate(k: int, values: list[int]) -> list[int]:
+    """The integer polynomial of total degree <= k in (beta, delta) with the
+    given values at the points (b, d), b, d >= 0, b + d <= k, as its
+    coefficients; points and coefficients both in the order of one gamma
+    half of ``minor_points(k)``.
+
+    Differences along delta and then along beta give its coefficients in
+    the basis binomial(beta, a) * binomial(delta, e); ``_newton_basis``
+    turns each factor into powers, scaled by k!.
+    """
+    rows, i = [], 0
+    for b in range(k + 1):  # rows[b]: differences along delta at (b, 0)
+        rows.append(_differences(values[i:i + k + 1 - b]))
+        i += k + 1 - b
+    diffs = [_differences([row[e] for row in rows[:k + 1 - e]]) for e in range(k + 1)]
+    basis, scale = _newton_basis(k), factorial(k) ** 2
+    out = []
+    for b in range(k + 1):
+        # at_b[e]: k! * the coefficient of beta**b in the e-th delta difference
+        at_b = [sum(x[a] * basis[a][b] for a in range(b, len(x))) for x in diffs[:k + 1 - b]]
+        for d in range(k + 1 - b):
+            out.append(sum(at_b[e] * basis[e][d] for e in range(d, k + 1 - b)) // scale)
+    return out
+
+
+def minor_coefficients(
+    g: Graph, k: int, pairs: Iterable[tuple[IndexSet, IndexSet]]
+) -> Iterator[tuple[IndexSet, IndexSet, tuple[int, ...]]]:
+    """(rows, cols, coeffs) for each pair, coeffs the k x k minor of the
+    universal matrix on rows x cols (in the order given) as coefficients in
+    the order of ``minor_points(k)``; k >= 1.
+
+    A minor is computed at gamma = 0 and at gamma = 1, each a polynomial in
+    (beta, delta) packed into one integer by Kronecker substitution: the
+    coefficient of beta**a * delta**b sits in slot a + (k+1)*b, ``_slot_width``
+    bits wide.  Sums and products of packed minors are then single integer
+    operations.  det U[R, C] is expanded along the last row of R, and the
+    (k-1)-minors of R[:-1] are read from a table for that row prefix, kept
+    while consecutive pairs share the prefix and the tables stay within
+    ``_TABLE_BITS``.  Past ``_TABLE_ORDER`` each minor is an integer
+    determinant at every point of ``minor_points(k)``, interpolated.
+    """
+    if k > _TABLE_ORDER:
+        points = minor_points(k)
+        mats = [universal_matrix(g, ParamPoint(b, c, d)) for b, c, d in points]
+        half = len(points) // 2
         for rows, cols in pairs:
-            yield rows, cols, [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
+            values = [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
+            coeffs = _interpolate(k, values[:half]) + _interpolate(k, values[half:])
+            yield rows, cols, tuple(coeffs)
         return
-    entries = [[[m[i][j] for m in mats] for j in range(g.n)] for i in range(g.n)]
+    w = _slot_width(g.n, k)
+    beta, delta = 1 << w, 1 << w * (k + 1)
+    entries = []  # entries[i]: row i of U at gamma = 0 and at gamma = 1, packed
+    for i, (bits, deg) in enumerate(zip(g.rows, g.degrees())):
+        row0 = [bits >> j & 1 for j in range(g.n)]
+        row0[i] = beta + deg * delta
+        row1 = [x + 1 for x in row0]
+        entries.append((row0, row1))
+    unpack = _unpacker(k, w)
+    most = _TABLE_BITS // (2 * (k + 1) ** 2 * w)  # entries, each two packed minors
     tables: list[dict] = [{} for _ in range(k)]  # tables[j]: j-minors of prefix[:j]
     prefix: tuple = ()
     for rows, cols in pairs:
+        if sum(map(len, tables)) > most:
+            for table in tables:
+                table.clear()
         if tuple(rows) != prefix:
             # tables[j] stays valid while rows[:j] is unchanged
             same = next((j for j, (a, b) in enumerate(zip(prefix, rows)) if a != b), k)
             for table in tables[same + 1:]:
                 table.clear()
             prefix = tuple(rows)
-        yield rows, cols, _expand_minor(entries, tables, prefix, tuple(cols))
+        at0, at1 = _expand_minor(entries, tables, prefix, tuple(cols))
+        yield rows, cols, unpack(at0) + unpack(at1)
 
 
-def _expand_minor(entries, tables, rows, cols) -> list[int]:
-    """det U[rows[:j], cols] at every point, j = len(cols), by expansion
-    along row rows[j-1]; (j-1)-minors are memoized in ``tables[j-1]``."""
+def _expand_minor(entries, tables, rows, cols) -> tuple[int, int]:
+    """det U[rows[:j], cols] at gamma = 0 and 1, packed, j = len(cols), by
+    expansion along row rows[j-1]; (j-1)-minors are memoized in
+    ``tables[j-1]``."""
     j = len(cols)
-    row = entries[rows[j - 1]]
+    row0, row1 = entries[rows[j - 1]]
     if j == 1:
-        return row[cols[0]]
+        return row0[cols[0]], row1[cols[0]]
     sub_table = tables[j - 1]
-    acc = None
+    acc0 = acc1 = 0
     for t, c in enumerate(cols):
         sub_cols = cols[:t] + cols[t + 1:]
         sub = sub_table.get(sub_cols)
         if sub is None:
             sub = sub_table[sub_cols] = _expand_minor(entries, tables, rows, sub_cols)
-        e = row[c]
+        e0 = row0[c]  # 0 off the diagonal where there is no edge
         # the cofactor sign of entry (j-1, t) is (-1)**(j-1+t)
-        if acc is None:
-            acc = list(map(mul, e, sub)) if j % 2 else [-x * y for x, y in zip(e, sub)]
-        elif (j - 1 + t) % 2:
-            acc = [a - x * y for a, x, y in zip(acc, e, sub)]
+        if (j - 1 + t) % 2:
+            if e0:
+                acc0 -= e0 * sub[0]
+            acc1 -= row1[c] * sub[1]
         else:
-            acc = [a + x * y for a, x, y in zip(acc, e, sub)]
-    return acc
+            if e0:
+                acc0 += e0 * sub[0]
+            acc1 += row1[c] * sub[1]
+    return acc0, acc1
 
 
 def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     """A certificate that mur(g) >= k, or None if none was found.
 
-    The minors are evaluated on ``minor_points(k)`` by ``minor_values``.
+    The minors come as coefficient vectors from ``minor_coefficients``.
     Independent ones are picked by elimination modulo a prime until the
-    all-ones vector lies in their span; the weights are then solved for
-    exactly from those minors alone and the identity is checked on every
-    point, so a failure anywhere only means no certificate.
+    constant 1 lies in their span; the weights are then solved for exactly
+    from those minors alone and the identity is checked on every
+    coefficient, so a failure anywhere only means no certificate.
+    Coefficients and values on ``minor_points(k)`` determine each other by
+    an integer map that is invertible over Q and modulo the prime, so the
+    minors chosen and their weights are those an elimination of the values
+    would give.
     """
-    npoints = (k + 1) * (k + 2)
+    ncoeffs = (k + 1) * (k + 2)
     subsets = list(combinations(range(g.n), k))
     # U is symmetric, so minor(R, C) == minor(C, R): take R <= C only.  Each
-    # pair costs npoints * k**3 of the work cap, charged before it is tried.
+    # pair costs (k+1)(k+2) * k**3 of the work cap, charged before it is tried.
     pairs = ((rows, cols) for i, rows in enumerate(subsets) for cols in subsets[i:])
-    pairs = islice(pairs, -(-_MINOR_STAGE_WORK // max(npoints * k**3, 1)))
-    # The chosen minors' value vectors modulo the prime, kept in reduced
-    # echelon form: pivots[i] is the pivot point of the i-th, and
-    # basis[j][i] its entry at the free point free[j].  A vector is then in
-    # their span exactly when its residual at every free point is zero, and
-    # its first nonzero residual is where sequential reduction would pivot.
+    pairs = islice(pairs, -(-_MINOR_STAGE_WORK // max(ncoeffs * k**3, 1)))
+    # The chosen minors' coefficient vectors modulo the prime, kept in
+    # reduced echelon form: pivots[i] is the pivot coefficient of the i-th,
+    # and basis[j][i] its entry at the free coefficient free[j].  A vector is
+    # then in their span exactly when its residual at every free coefficient
+    # is zero, and its first nonzero residual is where sequential reduction
+    # would pivot.
     pivots: list[int] = []
-    free = list(range(npoints))
+    free = list(range(ncoeffs))
     basis: list[list[int]] = [[] for _ in free]
-    chosen: list[tuple[tuple[int, ...], tuple[int, ...], list[int]]] = []
-    target = [1] * npoints  # residual of the all-ones vector at the free points
-    seen = set()  # value vectors tried, up to scaling: a multiple is dependent
-    for rows, cols, values in minor_values(g, k, pairs):
-        scale = gcd(*values)
+    chosen: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
+    target = constant_one(k)  # residual of the constant 1 at the free coefficients
+    seen = set()  # coefficient vectors tried, up to scaling: a multiple is dependent
+    for rows, cols, coeffs in minor_coefficients(g, k, pairs):
+        scale = gcd(*coeffs)
         if not scale:
             continue
-        if next(x for x in values if x) < 0:
+        if next(x for x in coeffs if x) < 0:
             scale = -scale
-        key = tuple([x // scale for x in values])
+        key = tuple([x // scale for x in coeffs])
         if key in seen:
             continue
         seen.add(key)
-        head = [values[p] for p in pivots]
-        res = [(values[q] - sum(map(mul, head, col))) % _PRIME for q, col in zip(free, basis)]
+        head = [coeffs[p] for p in pivots]
+        res = [(coeffs[q] - sum(map(mul, head, col))) % _PRIME for q, col in zip(free, basis)]
         j = next((j for j, x in enumerate(res) if x), None)
         if j is None:
             continue
@@ -426,31 +563,32 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
         target = [(y - t * x) % _PRIME for y, x in zip(target, res)]
         pivots.append(free.pop(j))
         del basis[j], target[j]
-        chosen.append((rows, cols, values))
+        chosen.append((rows, cols, coeffs))
         if not any(target):
             return _solve_minor_weights(k, pivots, chosen)
     return None
 
 
 def _solve_minor_weights(k, pivots, chosen) -> Optional[Certificate]:
-    # The pivot points of the echelon basis make the chosen minors' square
-    # system nonsingular modulo the prime, hence over Q.
-    a = [[values[p] for _, _, values in chosen] for p in pivots]
-    weights = solve_int(a, [1] * len(pivots))
-    if weights is None:
+    # The pivot coefficients of the echelon basis make the chosen minors'
+    # square system nonsingular modulo the prime, hence over Q.
+    one = constant_one(k)
+    solved = solve_int(
+        [[coeffs[p] for _, _, coeffs in chosen] for p in pivots], [one[p] for p in pivots]
+    )
+    if solved is None:
         return None
-    den = lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (den // w.denominator) for w in weights]
-    for p in range(len(chosen[0][2])):
-        if sum(w * values[p] for w, (_, _, values) in zip(scaled, chosen)) != den:
+    nums, den = solved
+    for target, column in zip(one, zip(*(coeffs for _, _, coeffs in chosen))):
+        if sum(map(mul, nums, column)) != den * target:
             return None
     return Certificate(
         "minor_combination",
         {
             "k": k,
             "minors": [
-                {"rows": list(rows), "cols": list(cols), "weight": str(w)}
-                for w, (rows, cols, _) in zip(weights, chosen)
+                {"rows": list(rows), "cols": list(cols), "weight": str(Fraction(w, den))}
+                for w, (rows, cols, _) in zip(nums, chosen)
                 if w
             ],
         },
@@ -640,12 +778,12 @@ def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> ParamPoint:
     s = delta.denominator
     b = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
     cols = pivot_columns(b)  # b = s * B
-    y = solve_int([[b[i][j] for j in cols] for i in cols], [1] * len(cols))
+    y, den = solve_int([[b[i][j] for j in cols] for i in cols], [1] * len(cols))
     gamma = Fraction(0)
-    # y on cols and zero elsewhere solves b x = 1 if every row agrees; then
-    # B (s x) = 1.
-    if all(sum(row[j] * v for j, v in zip(cols, y)) == 1 for row in b) and sum(y):
-        gamma = -1 / (s * sum(y))
+    # y / den on cols and zero elsewhere solves b x = 1 if every row agrees;
+    # then B (s x) = 1.
+    if all(sum(row[j] * v for j, v in zip(cols, y)) == den for row in b) and sum(y):
+        gamma = Fraction(-den, s * sum(y))
     return ParamPoint(Fraction(-mu, s), gamma, delta)
 
 

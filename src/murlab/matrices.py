@@ -102,11 +102,14 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_int(a: list[list[int]], b: list[int]) -> Optional[list[Fraction]]:
-    """The solution of the square integer system a x = b; None if a is singular.
+def solve_int(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int]]:
+    """The solution of the square integer system a x = b as integer
+    numerators over one common denominator, (y, den) with x = y / den; None
+    if a is singular.
 
-    Fraction-free forward elimination keeps every intermediate an integer;
-    only the back substitution works over the rationals.
+    Fraction-free elimination keeps every intermediate an integer.  den is
+    the last pivot, +-det(a), so den * x is integral by Cramer's rule and
+    each division of the back substitution is exact.
     """
     n = len(a)
     aug = [list(row) + [b[i]] for i, row in enumerate(a)]
@@ -124,11 +127,12 @@ def solve_int(a: list[list[int]], b: list[int]) -> Optional[list[Fraction]]:
                 row[j] = (piv * row[j] - head * top[j]) // prev
             row[c] = 0
         prev = piv
-    x = [Fraction(0)] * n
+    den = prev
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        s = aug[i][n] - sum(aug[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = Fraction(s) / aug[i][i]
-    return x
+        s = den * aug[i][n] - sum(aug[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = s // aug[i][i]
+    return y, den
 
 
 def pivot_columns(m) -> list[int]:

@@ -1,5 +1,6 @@
 import gc
 from fractions import Fraction
+import math
 import random
 from itertools import combinations
 
@@ -14,8 +15,8 @@ from murlab.engine import (
     complement_params,
     compute_mur,
     family_mur,
+    minor_coefficients,
     minor_points,
-    minor_values,
     minors_combination,
     mur_lower,
     mur_spread,
@@ -41,6 +42,7 @@ from murlab.graphs import (
 )
 from murlab.matrices import charpoly, det_int, rank_rational
 from murlab.polynomials import rational_roots
+from test_matrices import _gauss_jordan
 
 # The grid and seeded random points of the old 3-D candidate stream, kept
 # as the reference the delta search is checked against.
@@ -282,31 +284,147 @@ def _points_minor(g, k, rows, cols):
     ]
 
 
+def _at_points(k, coeffs):
+    """A minor given by its coefficients, evaluated at every minor point."""
+    points = minor_points(k)
+    return [
+        sum(x * beta**b * delta**d for x, (b, c, d) in zip(coeffs, points) if c == gamma)
+        for beta, gamma, delta in points
+    ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(graphs_strategy(8), st.data())
 def test_minor_values_match_determinants(g, data):
-    # Index sets in any order, as replay may read them; each value list is
-    # det_int of the submatrix of universal_matrix at every minor point.
+    # Index sets in any order, as replay may read them; each packed minor,
+    # evaluated at every minor point, is det_int of the submatrix of
+    # universal_matrix there.
     for k in range(1, g.n + 1):
         index_sets = st.permutations(range(g.n)).map(lambda p: p[:k])
         pairs = [(data.draw(index_sets), data.draw(index_sets)) for _ in range(3)]
         pairs.sort()  # consecutive pairs share row prefixes
-        for (rows, cols), (r, c, values) in zip(pairs, minor_values(g, k, pairs)):
+        for (rows, cols), (r, c, coeffs) in zip(pairs, minor_coefficients(g, k, pairs)):
             assert (r, c) == (rows, cols)
-            assert values == _points_minor(g, k, rows, cols)
+            assert _at_points(k, coeffs) == _points_minor(g, k, rows, cols)
 
 
-def test_minor_values_beyond_the_table_budget():
-    # Order 10 on the 12 vertices of P'11 is past the cell budget: each value
-    # is a determinant per point.
-    g, k = p_prime(11), 10
+@pytest.mark.parametrize(
+    "g, k, width",
+    [
+        (p_prime(11), 10, 64),  # 36**10 needs 64-bit slots
+        (disjoint_union([p_prime(11), cycle(15)]), 10, 128),  # 81**10 > 2**63
+    ],
+    ids=["pprime11-k10", "27-vertices-k10"],
+)
+def test_minor_slot_widths(g, k, width):
+    # The slot width follows the coefficient bound (3n)**k, and the packed
+    # minors at the widest slots still decode to the determinants.
+    assert engine._slot_width(g.n, k) == width
     subsets = list(combinations(range(g.n), k))
-    pairs = [(subsets[0], cols) for cols in subsets[:4]] + [(subsets[1], subsets[5])]
-    for rows, cols, values in minor_values(g, k, pairs):
-        assert values == _points_minor(g, k, rows, cols)
+    pairs = [(subsets[0], subsets[0]), (subsets[0], subsets[-1]), (subsets[3], subsets[7])]
+    for rows, cols, coeffs in minor_coefficients(g, k, pairs):
+        assert _at_points(k, coeffs) == _points_minor(g, k, rows, cols)
 
 
-def test_minor_tables_give_the_per_point_certificates(monkeypatch):
+def test_minors_past_the_table_order():
+    # Past the table order each minor is interpolated from its values.
+    g, k = disjoint_union([p_prime(5), cycle(7)]), engine._TABLE_ORDER + 2
+    subsets = list(combinations(range(g.n), k))
+    pairs = [(subsets[0], subsets[0]), (subsets[0], subsets[-1]), (subsets[3], subsets[7])]
+    for rows, cols, coeffs in minor_coefficients(g, k, pairs):
+        assert _at_points(k, coeffs) == _points_minor(g, k, rows, cols)
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.integers(-(10**30), 10**30),
+                min_size=(k + 1) * (k + 2) // 2,
+                max_size=(k + 1) * (k + 2) // 2,
+            ),
+        )
+    )
+)
+def test_interpolate_inverts_evaluation(case):
+    k, coeffs = case
+    values = _at_points(k, coeffs + coeffs)[: len(coeffs)]
+    assert engine._interpolate(k, values) == coeffs
+
+
+def test_minor_tables_stay_within_their_budget(monkeypatch):
+    # Every column set on one row prefix, as a replayed document may list
+    # them: the tables are cleared once past their budget, and the minors
+    # are those of tables never cleared.
+    g, k = p_prime(11), 6
+    pairs = [(tuple(range(k)), cols) for cols in combinations(range(g.n), k)]
+    want = list(minor_coefficients(g, k, pairs))
+    sizes = []
+    expand = engine._expand_minor
+
+    def spy(entries, tables, rows, cols):
+        sizes.append(sum(map(len, tables)))
+        return expand(entries, tables, rows, cols)
+
+    monkeypatch.setattr(engine, "_expand_minor", spy)
+    monkeypatch.setattr(engine, "_TABLE_BITS", 1 << 20)
+    assert list(minor_coefficients(g, k, pairs)) == want
+    # An entry is two minors of 7 x 7 slots of 64 bits, and one pair adds
+    # fewer than 2**k entries; unbounded, the tables would reach 1585.
+    most = (1 << 20) // (2 * 7**2 * 64)
+    assert most < max(sizes) < most + 2**k
+
+
+def _per_point_minors_combination(g, k):
+    """The minors stage as it was with a value vector per minor: the minors
+    at every minor point, eliminated modulo the prime and solved over Q."""
+    prime, points = (1 << 61) - 1, minor_points(k)
+    mats = [universal_matrix(g, ParamPoint(*p)) for p in points]
+    subsets = list(combinations(range(g.n), k))
+    pairs = [(rows, cols) for i, rows in enumerate(subsets) for cols in subsets[i:]]
+    pairs = pairs[: -(-engine._MINOR_STAGE_WORK // (len(points) * k**3))]
+    pivots, free, basis, chosen = [], list(range(len(points))), [[] for _ in points], []
+    target, seen = [1] * len(points), set()
+    for rows, cols in pairs:
+        values = [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
+        scale = math.gcd(*values)
+        if not scale:
+            continue
+        scale *= -1 if next(x for x in values if x) < 0 else 1
+        key = tuple(x // scale for x in values)
+        if key in seen:
+            continue
+        seen.add(key)
+        head = [values[p] for p in pivots]
+        res = [
+            (values[q] - sum(a * b for a, b in zip(head, col))) % prime
+            for q, col in zip(free, basis)
+        ]
+        j = next((j for j, x in enumerate(res) if x), None)
+        if j is None:
+            continue
+        inv = pow(res[j], prime - 2, prime)
+        res = [x * inv % prime for x in res]
+        pcol, t = basis[j], target[j]
+        basis = [
+            [(a - b * x) % prime for a, b in zip(col, pcol)] + [x] for col, x in zip(basis, res)
+        ]
+        target = [(y - t * x) % prime for y, x in zip(target, res)]
+        pivots.append(free.pop(j))
+        del basis[j], target[j]
+        chosen.append((rows, cols, values))
+        if not any(target):
+            a = [[v[p] for _, _, v in chosen] for p in pivots]
+            weights = _gauss_jordan(a, [1] * len(pivots))
+            for p in range(len(points)):
+                if sum(w * v[p] for w, (_, _, v) in zip(weights, chosen)) != 1:
+                    return None
+            return [(list(r), list(c), str(w)) for w, (r, c, _) in zip(weights, chosen) if w]
+    return None
+
+
+def test_minor_tables_give_the_per_point_certificates():
     nx = pytest.importorskip("networkx")
     graphs = [
         Graph.from_edges(7, list(h.edges()))
@@ -316,11 +434,9 @@ def test_minor_tables_give_the_per_point_certificates(monkeypatch):
     assert graphs
     for g in graphs:
         for k in range(3, 7):
-            tables = minors_combination(g, k)
-            monkeypatch.setattr(engine, "_MINOR_TABLE_CELLS", 0)
-            per_point = minors_combination(g, k)
-            monkeypatch.undo()
-            assert tables == per_point
+            cert = minors_combination(g, k)
+            packed = cert and [(m["rows"], m["cols"], m["weight"]) for m in cert.data["minors"]]
+            assert packed == _per_point_minors_combination(g, k)
 
 
 def test_minors_combination_only_where_rank_is_forced():
@@ -349,6 +465,29 @@ def test_minors_certificate_is_pinned():
         ([0, 1, 3, 4], [1, 2, 3, 4], "1"),
     ]
     cert = minors_combination(p_prime(5), 4)
+    assert [(m["rows"], m["cols"], m["weight"]) for m in cert.data["minors"]] == want
+
+
+def test_minors_certificate_is_pinned_at_order_5():
+    # Order 5 takes most of the minors time on seven vertices; this is the
+    # first atlas graph that compute_mur closes with 5 x 5 minors.
+    r = [0, 1, 2, 3, 4]
+    want = [
+        (r, [0, 1, 2, 3, 5], "1"),
+        (r, [0, 1, 2, 3, 6], "-1/2"),
+        (r, [0, 1, 2, 4, 6], "2"),
+        (r, [0, 1, 2, 5, 6], "-3/2"),
+        (r, [0, 1, 3, 4, 6], "2"),
+        (r, [0, 2, 3, 5, 6], "-2"),
+        (r, [1, 2, 3, 4, 5], "3"),
+        (r, [1, 2, 3, 4, 6], "-3"),
+        (r, [1, 2, 3, 5, 6], "8"),
+        (r, [1, 2, 4, 5, 6], "-17/2"),
+        ([0, 1, 2, 3, 5], [0, 1, 2, 3, 6], "-3/2"),
+        ([1, 2, 3, 4, 5], [1, 2, 4, 5, 6], "3"),
+        ([1, 2, 3, 4, 6], [1, 2, 3, 5, 6], "-2"),
+    ]
+    cert = minors_combination(parse_graph6("FHCG_"), 5)
     assert [(m["rows"], m["cols"], m["weight"]) for m in cert.data["minors"]] == want
 
 

@@ -178,7 +178,46 @@ def test_det_and_solve_int(m, data):
     if det_int(m) == 0:
         assert x is None
     else:
-        assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == b
+        y, den = x
+        assert [sum(a * yi for a, yi in zip(row, y)) for row in m] == [den * bi for bi in b]
+
+
+def _gauss_jordan(a, b):
+    """x with a x = b by Gauss-Jordan elimination over the rationals; None
+    if a is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            f = m[i][c]
+            if i != c and f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[n] for row in m]
+
+
+@settings(max_examples=100)
+@given(int_matrices, st.data())
+def test_solve_int_matches_fraction_elimination(m, data):
+    n = len(m)
+    if data.draw(st.booleans()):
+        # make the last row a combination of the others: a singular system
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        m[-1] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(n)]
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    want = _gauss_jordan(m, b)
+    got = solve_int(m, b)
+    if want is None:
+        assert got is None
+    else:
+        # integer numerators over the last pivot, which is +-det(m)
+        y, den = got
+        assert all(type(v) is int for v in y) and abs(den) == abs(det_int(m))
+        assert [Fraction(v, den) for v in y] == want
 
 
 @given(sym_matrices)

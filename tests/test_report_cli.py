@@ -164,6 +164,23 @@ def test_replay_rejects_tampered_minor_combination(tamper):
     assert not check.ok and check.message
 
 
+def test_replay_names_the_first_point_where_minors_miss_1():
+    # Raising one weight of the P'5 certificate by 1 leaves the sum off 1;
+    # replay reports its value at the first point of minor_points(4) where
+    # it is not 1, in the words replay has always used.
+    doc = make_report(p_prime(5))
+    values = []
+    for i in range(len(doc["lower_certificate"]["data"]["minors"])):
+        bad = json.loads(json.dumps(doc))
+        minor = bad["lower_certificate"]["data"]["minors"][i]
+        minor["weight"] = str(Fraction(minor["weight"]) + 1)
+        check = next(c for c in replay_report(bad) if c.name == "lower certificate")
+        assert not check.ok
+        values.append(check.message)
+    want = ["0", "2", "0", "0", "2", "5", "-1", "0"]
+    assert values == [f"minor combination evaluates to {v}, not 1" for v in want]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
