@@ -9,12 +9,13 @@ universal rank whenever the two meet.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
-from math import factorial, gcd, inf, lcm
-from operator import itemgetter, mul
+from itertools import combinations, islice, repeat
+from math import factorial, inf, lcm
+from operator import add, itemgetter, mod, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebraic import AlgebraicContext, AlgebraicNumber
@@ -444,16 +445,37 @@ def minor_coefficients(
     ``_TABLE_BITS``.  Past ``_TABLE_ORDER`` each minor is an integer
     determinant at every point of ``minor_points(k)``, interpolated.
     """
+    decode, minors = _minors(g, k, pairs)
+    for rows, cols, minor in minors:
+        yield rows, cols, decode(minor)
+
+
+def _minors(g: Graph, k: int, pairs: Iterable[tuple[IndexSet, IndexSet]]):
+    """(decode, minors): minors yields (rows, cols, minor) for each pair, and
+    decode(minor) is its coefficient tuple (see ``minor_coefficients``).
+
+    Up to ``_TABLE_ORDER`` a minor is its packed pair (at gamma = 0, at
+    gamma = 1); past it, already the coefficient tuple.  Either way the
+    minor is a tuple whose entries negate with it.
+    """
     if k > _TABLE_ORDER:
-        points = minor_points(k)
-        mats = [universal_matrix(g, ParamPoint(b, c, d)) for b, c, d in points]
-        half = len(points) // 2
-        for rows, cols in pairs:
-            values = [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
-            coeffs = _interpolate(k, values[:half]) + _interpolate(k, values[half:])
-            yield rows, cols, tuple(coeffs)
-        return
+        return tuple, _interpolated_minors(g, k, pairs)  # tuple(t) is t
     w = _slot_width(g.n, k)
+    unpack = _unpacker(k, w)
+    return (lambda minor: unpack(minor[0]) + unpack(minor[1])), _table_minors(g, k, w, pairs)
+
+
+def _interpolated_minors(g, k, pairs):
+    points = minor_points(k)
+    mats = [universal_matrix(g, ParamPoint(b, c, d)) for b, c, d in points]
+    half = len(points) // 2
+    for rows, cols in pairs:
+        values = [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
+        coeffs = _interpolate(k, values[:half]) + _interpolate(k, values[half:])
+        yield rows, cols, tuple(coeffs)
+
+
+def _table_minors(g, k, w, pairs):
     beta, delta = 1 << w, 1 << w * (k + 1)
     entries = []  # entries[i]: row i of U at gamma = 0 and at gamma = 1, packed
     for i, (bits, deg) in enumerate(zip(g.rows, g.degrees())):
@@ -461,7 +483,6 @@ def minor_coefficients(
         row0[i] = beta + deg * delta
         row1 = [x + 1 for x in row0]
         entries.append((row0, row1))
-    unpack = _unpacker(k, w)
     most = _TABLE_BITS // (2 * (k + 1) ** 2 * w)  # entries, each two packed minors
     tables: list[dict] = [{} for _ in range(k)]  # tables[j]: j-minors of prefix[:j]
     prefix: tuple = ()
@@ -475,8 +496,7 @@ def minor_coefficients(
             for table in tables[same + 1:]:
                 table.clear()
             prefix = tuple(rows)
-        at0, at1 = _expand_minor(entries, tables, prefix, tuple(cols))
-        yield rows, cols, unpack(at0) + unpack(at1)
+        yield rows, cols, _expand_minor(entries, tables, prefix, tuple(cols))
 
 
 def _expand_minor(entries, tables, rows, cols) -> tuple[int, int]:
@@ -507,14 +527,108 @@ def _expand_minor(entries, tables, rows, cols) -> tuple[int, int]:
     return acc0, acc1
 
 
+class _Echelon:
+    """Integer vectors modulo the prime p = 2**61 - 1 in reduced echelon
+    form, and the residual of a target vector against them.
+
+    ``add`` reduces a vector against the rows.  If its residual is zero,
+    the vector lies in their span and is dropped.  Otherwise the residual,
+    scaled to 1 at its first nonzero coordinate (its pivot), becomes a row,
+    and every row and the target are reduced by it.  Each row is then 1 at
+    its own pivot and 0 at every other, so the residual of v is
+    v - sum(v[pivot_i] * row_i), and the target lies in the span exactly
+    when its residual is zero.
+
+    A row is one integer: coordinate q sits in slot q, w bits wide, w a
+    multiple of 64, so that every slot is whole machine words.  A slot
+    holds a residue below 2**62, not necessarily reduced.  The heads
+    v[pivot_i] are taken as they are, each below ``height`` in absolute
+    value, so each slot of sum(heads * rows) lies below bound = len(v) *
+    height * 2**62 in absolute value.  An offset that is a multiple of p
+    and at least bound in every slot makes every slot positive; w is the
+    least multiple of 64 that holds offset + bound: 128 for minors of order
+    up to 10 on up to 12 vertices, and at least 128 whenever there are two
+    or more coordinates, which leaves room for the row updates below.
+    Foldings x -> (x & p) + (x >> 61), done on every slot at once through
+    masks, keep each slot's residue and shrink it below 2**62, one machine
+    word, so that one ``to_bytes`` call reads off every slot.  When a row is updated it gains
+    (p - c) times the new row, less than 2**122 per slot, and two foldings
+    bring it back below 2**62 with no decoding.
+    """
+
+    def __init__(self, target: Sequence[int], height: int):
+        n = len(target)
+        self.pivots: list[int] = []
+        self.rows: list[int] = []
+        self.target = [t % _PRIME for t in target]
+        bound = n * height << 62
+        offset = -(-bound // _PRIME) * _PRIME
+        w = self.width = -(-(offset + bound).bit_length() // 64) * 64
+        ones = sum(1 << w * q for q in range(n))
+        self.offset = offset * ones
+        self.low = _PRIME * ones  # the low 61 bits of every slot
+        self.high = ((1 << w - 61) - 1) * ones  # the rest, shifted down by 61
+        self.nbytes = n * w // 8
+        # foldings that bring a slot below 2**w under 2**62
+        bits, self.folds = w, 0
+        while bits > 62:
+            bits, self.folds = max(bits - 61, 61) + 1, self.folds + 1
+
+    def spans_target(self) -> bool:
+        return not any(self.target)
+
+    def _fold(self, x: int) -> int:
+        return (x & self.low) + (x >> 61 & self.high)
+
+    def _residual(self, v: Sequence[int]) -> list[int]:
+        heads = [v[p] for p in self.pivots]
+        packed = self.offset - sum(map(mul, heads, self.rows))
+        for _ in range(self.folds):
+            packed = self._fold(packed)
+        words = memoryview(packed.to_bytes(self.nbytes, sys.byteorder)).cast("Q")
+        if sys.byteorder == "big":
+            words = words[::-1]
+        return list(map(mod, map(add, v, words[:: self.width // 64]), repeat(_PRIME)))
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Reduce v; make its residual a row if that is nonzero, and say so."""
+        res = self._residual(v)
+        if not any(res):
+            return False
+        j = res.index(next(filter(None, res)))
+        res = list(map(mod, map(mul, res, repeat(pow(res[j], -1, _PRIME))), repeat(_PRIME)))
+        step = self.width // 64
+        words = [0] * (len(res) * step)
+        words[::step] = res
+        if sys.byteorder == "big":
+            words.reverse()
+        new = int.from_bytes(array("Q", words), sys.byteorder)
+        shift, slot = self.width * j, (1 << self.width) - 1
+        rows, fold = self.rows, self._fold
+        for i, row in enumerate(rows):
+            c = (row >> shift & slot) % _PRIME
+            if c:
+                rows[i] = fold(fold(row + (_PRIME - c) * new))
+        rows.append(new)
+        self.pivots.append(j)
+        t = self.target[j]
+        if t:
+            self.target = [(y - t * x) % _PRIME for y, x in zip(self.target, res)]
+        return True
+
+
 def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     """A certificate that mur(g) >= k, or None if none was found.
 
-    The minors come as coefficient vectors from ``minor_coefficients``.
-    Independent ones are picked by elimination modulo a prime until the
-    constant 1 lies in their span; the weights are then solved for exactly
-    from those minors alone and the identity is checked on every
-    coefficient, so a failure anywhere only means no certificate.
+    A minor that is zero, or + or - a minor already tried, is dropped
+    before it is decoded; only the key it is compared by is made positive
+    (by the sign of its first nonzero part), never the minor.  The others
+    go as coefficient vectors (see ``minor_coefficients``) into an
+    ``_Echelon`` modulo a prime, which keeps the independent ones until the
+    constant 1 lies in their span.  A scaled copy of a minor already tried
+    lies in that span, so the echelon drops it.  The weights are then
+    solved for exactly from the minors kept, and the identity is checked on
+    every coefficient, so a failure anywhere only means no certificate.
     Coefficients and values on ``minor_points(k)`` determine each other by
     an integer map that is invertible over Q and modulo the prime, so the
     minors chosen and their weights are those an elimination of the values
@@ -526,46 +640,22 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     # pair costs (k+1)(k+2) * k**3 of the work cap, charged before it is tried.
     pairs = ((rows, cols) for i, rows in enumerate(subsets) for cols in subsets[i:])
     pairs = islice(pairs, -(-_MINOR_STAGE_WORK // max(ncoeffs * k**3, 1)))
-    # The chosen minors' coefficient vectors modulo the prime, kept in
-    # reduced echelon form: pivots[i] is the pivot coefficient of the i-th,
-    # and basis[j][i] its entry at the free coefficient free[j].  A vector is
-    # then in their span exactly when its residual at every free coefficient
-    # is zero, and its first nonzero residual is where sequential reduction
-    # would pivot.
-    pivots: list[int] = []
-    free = list(range(ncoeffs))
-    basis: list[list[int]] = [[] for _ in free]
-    chosen: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-    target = constant_one(k)  # residual of the constant 1 at the free coefficients
-    seen = set()  # coefficient vectors tried, up to scaling: a multiple is dependent
-    for rows, cols, coeffs in minor_coefficients(g, k, pairs):
-        scale = gcd(*coeffs)
-        if not scale:
-            continue
-        if next(x for x in coeffs if x) < 0:
-            scale = -scale
-        key = tuple([x // scale for x in coeffs])
-        if key in seen:
+    # Every coefficient of a minor is below (3n)**k (see _slot_width).
+    echelon = _Echelon(constant_one(k), (3 * g.n) ** k)
+    chosen: list[tuple[IndexSet, IndexSet, tuple[int, ...]]] = []
+    decode, minors = _minors(g, k, pairs)
+    seen = set()
+    for rows, cols, minor in minors:
+        sign = next(filter(None, minor), 0)
+        key = minor if sign > 0 else tuple(map(neg, minor))
+        if not sign or key in seen:
             continue
         seen.add(key)
-        head = [coeffs[p] for p in pivots]
-        res = [(coeffs[q] - sum(map(mul, head, col))) % _PRIME for q, col in zip(free, basis)]
-        j = next((j for j, x in enumerate(res) if x), None)
-        if j is None:
-            continue
-        inv = pow(res[j], _PRIME - 2, _PRIME)
-        res = [x * inv % _PRIME for x in res]
-        pcol, t = basis[j], target[j]
-        basis = [
-            [(a - b * x) % _PRIME for a, b in zip(col, pcol)] + [x]
-            for col, x in zip(basis, res)
-        ]
-        target = [(y - t * x) % _PRIME for y, x in zip(target, res)]
-        pivots.append(free.pop(j))
-        del basis[j], target[j]
-        chosen.append((rows, cols, coeffs))
-        if not any(target):
-            return _solve_minor_weights(k, pivots, chosen)
+        coeffs = decode(minor)
+        if echelon.add(coeffs):
+            chosen.append((rows, cols, coeffs))
+            if echelon.spans_target():
+                return _solve_minor_weights(k, echelon.pivots, chosen)
     return None
 
 
