@@ -132,9 +132,5 @@ class AlgebraicNumber:
     def __rtruediv__(self, other) -> "AlgebraicNumber":
         return self._coerce(other) * self.inverse()
 
-    def reduce_to(self, context: AlgebraicContext) -> "AlgebraicNumber":
-        """Image under Q[x]/(f) -> Q[x]/(f') for f' dividing f."""
-        return AlgebraicNumber(self.rep % context.modulus, context)
-
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self.rep!r} mod {self.context.modulus!r})"

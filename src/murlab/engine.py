@@ -635,10 +635,15 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     would give.
     """
     ncoeffs = (k + 1) * (k + 2)
-    subsets = list(combinations(range(g.n), k))
     # U is symmetric, so minor(R, C) == minor(C, R): take R <= C only.  Each
     # pair costs (k+1)(k+2) * k**3 of the work cap, charged before it is tried.
-    pairs = ((rows, cols) for i, rows in enumerate(subsets) for cols in subsets[i:])
+    # The k-subsets are streamed: the cap may allow a handful of pairs out of
+    # millions of subsets.
+    pairs = (
+        (rows, cols)
+        for i, rows in enumerate(combinations(range(g.n), k))
+        for cols in islice(combinations(range(g.n), k), i, None)
+    )
     pairs = islice(pairs, -(-_MINOR_STAGE_WORK // max(ncoeffs * k**3, 1)))
     # Every coefficient of a minor is below (3n)**k (see _slot_width).
     echelon = _Echelon(constant_one(k), (3 * g.n) ** k)

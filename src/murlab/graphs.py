@@ -243,24 +243,6 @@ def complete_bipartite(r: int, s: int) -> Graph:
     return Graph.from_edges(r + s, ((u, r + v) for u in range(r) for v in range(s)))
 
 
-def complete_multipartite(sizes: Sequence[int]) -> Graph:
-    blocks = []
-    start = 0
-    for size in sizes:
-        if size < 0:
-            raise GraphError("negative part size")
-        blocks.append(range(start, start + size))
-        start += size
-    edges = [
-        (u, v)
-        for i, bi in enumerate(blocks)
-        for bj in blocks[i + 1:]
-        for u in bi
-        for v in bj
-    ]
-    return Graph.from_edges(start, edges)
-
-
 def p_prime(n: int) -> Graph:
     """Path on n vertices plus a pendant attached to the second-to-last one."""
     if n < 3:
@@ -289,10 +271,6 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     return Graph.from_edges(total, edges)
 
 
-def join(graphs: Sequence[Graph]) -> Graph:
-    return disjoint_union([g.complement() for g in graphs]).complement()
-
-
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -306,22 +284,26 @@ def petersen() -> Graph:
 
 def components(g: Graph) -> tuple[int, list[list[int]]]:
     """Connected component count and vertex partition (sorted)."""
-    seen = 0
+    parts = [_bits(comp) for comp in _component_masks(g, (1 << g.n) - 1)]
+    return len(parts), parts
+
+
+def _component_masks(g: Graph, within: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced on the mask
+    ``within``, in the order of their least vertices."""
     parts = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
+    left = within
+    while left:
+        comp = frontier = left & -left
         while frontier:
             nxt = 0
             for u in _bits(frontier):
                 nxt |= g.rows[u]
-            frontier = nxt & ~comp
+            frontier = nxt & within & ~comp
             comp |= frontier
-        seen |= comp
-        parts.append(_bits(comp))
-    return len(parts), parts
+        parts.append(comp)
+        left &= ~comp
+    return parts
 
 
 def diameter(g: Graph) -> float:

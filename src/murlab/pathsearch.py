@@ -6,9 +6,9 @@ best witness found so far is returned with ``exact=False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _component_masks
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -36,88 +36,59 @@ class PathForestResult:
 
 
 def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PathForestResult:
-    """Maximize the path-forest lower bound over induced linear forests."""
+    """Maximize the path-forest lower bound over induced linear forests.
+
+    Vertices are decided in order, each included before it is excluded.  The
+    forest chosen so far is kept as its edge count, the mask ``lone`` of its
+    degree-0 vertices, the mask ``ends`` of its vertices of degree <= 1, and
+    ``far[v]``, the other end of the path that ends at v (a lone vertex is its
+    own far end).  A vertex may join when its neighbours in the forest are at
+    most two ends, and not the two ends of one path; the bound at a leaf is
+    then ``edges - (not lone)``.
+    """
     n = g.n
+    rows = g.rows
     best_bound = -1
     best_mask = 0
     budget = node_budget
+    far = list(range(n))
 
-    deg = [0] * n  # degree within the included set
-
-    def connected_within(mask: int, a: int, b: int) -> bool:
-        reached = 1 << a
-        frontier = 1 << a
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.rows[u] & mask
-            frontier = nxt & ~reached
-            reached |= frontier
-        return bool(reached >> b & 1)
-
-    def score(mask: int) -> int | None:
-        total = 0
-        t = 0
-        m = 0
-        seen = 0
-        for v in _bits(mask):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = 1 << v
-            while frontier:
-                nxt = 0
-                for u in _bits(frontier):
-                    nxt |= g.rows[u] & mask
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            size = comp.bit_count()
-            if size == 1:
-                m += 1
-            else:
-                t += 1
-                total += size
-        if t == 0:
-            return None
-        return total - t - (1 if m == 0 else 0)
-
-    def choose(idx: int, mask: int) -> None:
+    def choose(idx: int, mask: int, size: int, edges: int, lone: int, ends: int) -> None:
         nonlocal best_bound, best_mask, budget
         if budget <= 0:
             return
         budget -= 1
-        remaining = n - idx
         # Even in the best case the bound is two less than the vertex count
         # of the final forest, so prune on that optimistic total.
-        if mask.bit_count() + remaining - 2 <= best_bound:
+        if size + (n - idx) - 2 <= best_bound:
             return
         if idx == n:
-            s = score(mask)
-            if s is not None and s > best_bound:
-                best_bound = s
+            if edges and edges - (not lone) > best_bound:
+                best_bound = edges - (not lone)
                 best_mask = mask
             return
-        nbrs = g.rows[idx] & mask
-        ok = True
-        nb_list = _bits(nbrs)
-        if len(nb_list) > 2:
-            ok = False
-        elif any(deg[u] >= 2 for u in nb_list):
-            ok = False
-        elif len(nb_list) == 2 and connected_within(mask, nb_list[0], nb_list[1]):
-            ok = False  # closing a cycle
-        if ok:
-            for u in nb_list:
-                deg[u] += 1
-            deg[idx] = len(nb_list)
-            choose(idx + 1, mask | 1 << idx)
-            for u in nb_list:
-                deg[u] -= 1
-            deg[idx] = 0
-        choose(idx + 1, mask)
+        bit = 1 << idx
+        nbrs = rows[idx] & mask
+        if not nbrs:
+            far[idx] = idx
+            choose(idx + 1, mask | bit, size + 1, edges, lone | bit, ends | bit)
+        elif nbrs.bit_count() <= 2 and not nbrs & ~ends:
+            u = nbrs.bit_length() - 1
+            v = (nbrs & -nbrs).bit_length() - 1  # u again if there is one neighbour
+            a, b = far[u], far[v]
+            # lone neighbours gain degree 1 and stay ends; the others leave
+            joined = ends & ~(nbrs & ~lone)
+            if u == v:
+                far[idx], far[a] = a, idx
+                choose(idx + 1, mask | bit, size + 1, edges + 1, lone & ~nbrs, joined | bit)
+                far[a] = u
+            elif a != v:  # u and v are not the two ends of one path
+                far[a], far[b] = b, a
+                choose(idx + 1, mask | bit, size + 1, edges + 2, lone & ~nbrs, joined)
+                far[a], far[b] = u, v
+        choose(idx + 1, mask, size, edges, lone, ends)
 
-    choose(0, 0)
+    choose(0, 0, 0, 0, 0, 0)
     if best_bound < 0:
         return PathForestResult(None, budget > 0)
     return PathForestResult(_mask_to_witness(g, best_mask), budget > 0)
@@ -126,19 +97,7 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
 def _mask_to_witness(g: Graph, mask: int) -> PathForestWitness:
     paths = []
     isolated = []
-    seen = 0
-    for v in _bits(mask):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.rows[u] & mask
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
+    for comp in _component_masks(g, mask):
         verts = _bits(comp)
         if len(verts) == 1:
             isolated.append(verts[0])

@@ -8,7 +8,6 @@ coefficient tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 
@@ -241,22 +240,6 @@ def root_multiplicity(p: Poly, r) -> tuple[int, Poly]:
             return e, p
         p = q
         e += 1
-
-
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p (each listed once), in increasing order.
-
-    With p scaled to integer coefficients a_0..a_n, the substitution
-    x = y / a_n turns a_n^(n-1) * p into a monic integer polynomial in y,
-    whose rational roots are integers; p's roots are those divided by a_n.
-    """
-    if p.is_zero():
-        raise ValueError("rational roots of the zero polynomial")
-    den_lcm = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den_lcm // c.denominator) for c in p.coeffs]
-    n, lead = len(ints) - 1, ints[-1]
-    monic = [a * lead ** (n - 1 - i) for i, a in enumerate(ints[:-1])] + [1]
-    return sorted(Fraction(y, lead) for y, _ in integer_roots(monic))
 
 
 def integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:

@@ -1,9 +1,11 @@
 """The package has no runtime dependencies: it imports only the standard
 library and itself (numpy, sympy and networkx may be installed, but a
-user's environment need not have them)."""
+user's environment need not have them).  Nor does it carry code that only
+its tests reach."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import murlab
@@ -22,3 +24,49 @@ def test_imports_are_standard_library_or_murlab():
                 assert root in sys.stdlib_module_names or root == "murlab", (
                     f"{path.name}:{node.lineno} imports {root}"
                 )
+
+
+# Defined under src/murlab/ but named only outside it.
+DEAD_CODE_ALLOWED = {
+    "_refine_algebraic": "perfbench/make_inputs.py builds its algebraic reports with it",
+    "petersen": "perfbench/make_inputs.py builds a corpus graph with it",
+    "mat_mul": "the reference product of test_cayley_hamilton",
+}
+
+
+def test_every_definition_is_used_in_the_package():
+    # A module-level function or class counts as named where it appears as a
+    # bare name or as an attribute of a package module (``graphs.path``); a
+    # method, where it appears as an attribute.  Names inside the
+    # definition itself do not count, so recursion alone keeps nothing alive.
+    package = Path(murlab.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+
+    def names(node, method):
+        found = Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found[sub.id] += 1
+            elif isinstance(sub, ast.Attribute) and (
+                method or isinstance(sub.value, ast.Name) and sub.value.id in modules
+            ):
+                found[sub.attr] += 1
+        return found
+
+    everywhere = {method: sum((names(t, method) for t in trees), Counter()) for method in (False, True)}
+    unused = []
+    for tree in trees:
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue  # called by the language
+                method = isinstance(parent, ast.ClassDef)
+                if everywhere[method][name] - names(node, method)[name] > 0:
+                    continue
+                if name not in murlab.__all__ and name not in DEAD_CODE_ALLOWED:
+                    unused.append(name)
+    assert not unused, f"defined under src/murlab/ but never used there: {unused}"

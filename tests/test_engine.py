@@ -2,6 +2,7 @@ import gc
 from fractions import Fraction
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -41,8 +42,9 @@ from murlab.graphs import (
     star,
 )
 from murlab.matrices import charpoly, det_int, rank_rational
-from murlab.polynomials import rational_roots
+from murlab.polynomials import integer_roots
 from test_matrices import _gauss_jordan
+from test_pathsearch import friendship
 
 # The grid and seeded random points of the old 3-D candidate stream, kept
 # as the reference the delta search is checked against.
@@ -222,7 +224,8 @@ def _old_candidates(g):
                 yield ParamPoint(-gamma - delta * d, gamma, delta)
     for comp_side in (False, True):
         side = g.complement() if comp_side else g
-        for lam in rational_roots(charpoly(engine.laplacian(side))):
+        # the Laplacian is an integer matrix, so its rational eigenvalues are integers
+        for lam, _ in integer_roots([c.numerator for c in charpoly(engine.laplacian(side)).coeffs]):
             if lam:
                 for p in (
                     ParamPoint(lam, Fraction(-lam, n), Fraction(-1)),
@@ -627,6 +630,19 @@ def test_minors_stage_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_minors_stage_streams_the_subsets():
+    # On the friendship graph F11 (23 vertices) the work cap allows a few
+    # pairs out of 1,352,078 subsets of 11 vertices; a list of them all
+    # peaks near 200 MB.
+    tracemalloc.start()
+    try:
+        minors_combination(friendship(11), 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_minors_certificate_stops_the_search(monkeypatch):

@@ -5,7 +5,6 @@ from murlab.graphs import (
     Graph,
     clique_isolated_apex,
     complete,
-    complete_multipartite,
     cycle,
     disjoint_union,
     empty,
@@ -41,7 +40,7 @@ def test_clique_plus_isolated():
 
 
 def test_union_of_cliques_via_complement():
-    g = complete_multipartite([2, 3, 4])
+    g = disjoint_union([complete(2), complete(3), complete(4)]).complement()  # K2,3,4
     matches = [
         m for m in family_matches(g, g.complement())
         if m.kind == "union_of_cliques" and m.complemented

@@ -10,14 +10,12 @@ from murlab.graphs import (
     clique_isolated_apex,
     complete,
     complete_bipartite,
-    complete_multipartite,
     components,
     cycle,
     diameter,
     disjoint_union,
     empty,
     encode_graph6,
-    join,
     parse_edge_list,
     parse_graph6,
     path,
@@ -94,7 +92,6 @@ def test_generators():
     assert path(1) == empty(1)
     assert sorted(p_prime(4).edges()) == [(0, 1), (1, 2), (2, 3), (2, 4)]
     assert star(5) == complete_bipartite(1, 4)
-    assert complete_multipartite([2, 3]) == complete_bipartite(2, 3)
     assert petersen().degrees() == [3] * 10
     with pytest.raises(GraphError):
         cycle(2)
@@ -103,7 +100,8 @@ def test_generators():
 
 
 def test_join_apex_shape():
-    g = join([empty(1), disjoint_union([complete(4), empty(3)])])
+    # the join of K1 and K4 + 3K1, as the complement of the union of complements
+    g = disjoint_union([empty(1), disjoint_union([complete(4), empty(3)]).complement()]).complement()
     assert g.n == 8
     assert sorted(g.degrees()) == [1, 1, 1, 4, 4, 4, 4, 7]
     h = clique_isolated_apex(4, 3)

@@ -1,9 +1,17 @@
+import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from murlab.graphs import Graph, complete, cycle, diameter, disjoint_union, empty, path
-from murlab.pathsearch import best_induced_path_forest, validate_path_forest
+from murlab.graphs import Graph, _bits, complete, cycle, diameter, disjoint_union, empty, path
+from murlab.pathsearch import (
+    DEFAULT_NODE_BUDGET,
+    PathForestResult,
+    PathForestWitness,
+    best_induced_path_forest,
+    validate_path_forest,
+)
 
 
 def brute_best_forest(g):
@@ -79,9 +87,182 @@ def test_diameter_below_longest_path(g):
 
 
 def test_witness_validation_rejects_garbage():
-    from murlab.pathsearch import PathForestWitness
-
     g = path(4)
     assert not validate_path_forest(g, PathForestWitness([(0, 2)], [], 0))
     assert not validate_path_forest(g, PathForestWitness([], [0], -1))
     assert not validate_path_forest(g, PathForestWitness([(0, 1)], [0], 1))
+
+
+# The search as it was before it kept the forest's ends incrementally: a
+# component walk scores each leaf and checks each two-neighbour join for a
+# cycle.  Kept as the reference: the incremental search must give the same
+# node counts, hence the same witness and exactness at every budget.
+def reference_best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PathForestResult:
+    """Maximize the path-forest lower bound over induced linear forests."""
+    n = g.n
+    best_bound = -1
+    best_mask = 0
+    budget = node_budget
+
+    deg = [0] * n  # degree within the included set
+
+    def connected_within(mask: int, a: int, b: int) -> bool:
+        reached = 1 << a
+        frontier = 1 << a
+        while frontier:
+            nxt = 0
+            for u in _bits(frontier):
+                nxt |= g.rows[u] & mask
+            frontier = nxt & ~reached
+            reached |= frontier
+        return bool(reached >> b & 1)
+
+    def score(mask: int) -> int | None:
+        total = 0
+        t = 0
+        m = 0
+        seen = 0
+        for v in _bits(mask):
+            if seen >> v & 1:
+                continue
+            comp = 1 << v
+            frontier = 1 << v
+            while frontier:
+                nxt = 0
+                for u in _bits(frontier):
+                    nxt |= g.rows[u] & mask
+                frontier = nxt & ~comp
+                comp |= frontier
+            seen |= comp
+            size = comp.bit_count()
+            if size == 1:
+                m += 1
+            else:
+                t += 1
+                total += size
+        if t == 0:
+            return None
+        return total - t - (1 if m == 0 else 0)
+
+    def choose(idx: int, mask: int) -> None:
+        nonlocal best_bound, best_mask, budget
+        if budget <= 0:
+            return
+        budget -= 1
+        remaining = n - idx
+        # Even in the best case the bound is two less than the vertex count
+        # of the final forest, so prune on that optimistic total.
+        if mask.bit_count() + remaining - 2 <= best_bound:
+            return
+        if idx == n:
+            s = score(mask)
+            if s is not None and s > best_bound:
+                best_bound = s
+                best_mask = mask
+            return
+        nbrs = g.rows[idx] & mask
+        ok = True
+        nb_list = _bits(nbrs)
+        if len(nb_list) > 2:
+            ok = False
+        elif any(deg[u] >= 2 for u in nb_list):
+            ok = False
+        elif len(nb_list) == 2 and connected_within(mask, nb_list[0], nb_list[1]):
+            ok = False  # closing a cycle
+        if ok:
+            for u in nb_list:
+                deg[u] += 1
+            deg[idx] = len(nb_list)
+            choose(idx + 1, mask | 1 << idx)
+            for u in nb_list:
+                deg[u] -= 1
+            deg[idx] = 0
+        choose(idx + 1, mask)
+
+    choose(0, 0)
+    if best_bound < 0:
+        return PathForestResult(None, budget > 0)
+    return PathForestResult(reference_mask_to_witness(g, best_mask), budget > 0)
+
+
+def reference_mask_to_witness(g: Graph, mask: int) -> PathForestWitness:
+    paths = []
+    isolated = []
+    seen = 0
+    for v in _bits(mask):
+        if seen >> v & 1:
+            continue
+        comp = 1 << v
+        frontier = 1 << v
+        while frontier:
+            nxt = 0
+            for u in _bits(frontier):
+                nxt |= g.rows[u] & mask
+            frontier = nxt & ~comp
+            comp |= frontier
+        seen |= comp
+        verts = _bits(comp)
+        if len(verts) == 1:
+            isolated.append(verts[0])
+            continue
+        ends = [u for u in verts if (g.rows[u] & comp).bit_count() == 1]
+        cur = ends[0]
+        order = [cur]
+        used = 1 << cur
+        while len(order) < len(verts):
+            nxt_v = _bits(g.rows[cur] & comp & ~used)[0]
+            order.append(nxt_v)
+            used |= 1 << nxt_v
+            cur = nxt_v
+        paths.append(tuple(order))
+    total = sum(len(p) for p in paths)
+    bound = total - len(paths) - (1 if not isolated else 0)
+    return PathForestWitness(paths, isolated, bound)
+
+
+BUDGETS = [0, 1, 3, 17, 200, 5000, DEFAULT_NODE_BUDGET]
+
+
+def assert_same_search(g):
+    for budget in BUDGETS:
+        got = best_induced_path_forest(g, budget)
+        want = reference_best_induced_path_forest(g, budget)
+        assert got.exact == want.exact, budget
+        if want.witness is None:
+            assert got.witness is None, budget
+        else:
+            assert (got.witness.paths, got.witness.isolated, got.witness.bound) == (
+                want.witness.paths,
+                want.witness.isolated,
+                want.witness.bound,
+            ), budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_strategy(10))
+def test_search_matches_the_reference(g):
+    assert_same_search(g)
+
+
+def friendship(k):
+    """k triangles sharing vertex 0."""
+    edges = []
+    for i in range(k):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return Graph.from_edges(2 * k + 1, edges)
+
+
+def seeded_gnp(n, seed):
+    rng = random.Random(seed)
+    p = rng.choice([0.2, 0.35, 0.5, 0.65])
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [seeded_gnp(n, 100 + n) for n in range(12, 23)] + [friendship(k) for k in range(8, 12)],
+    ids=[f"gnp{n}" for n in range(12, 23)] + [f"F{k}" for k in range(8, 12)],
+)
+def test_search_matches_the_reference_on_larger_graphs(g):
+    assert_same_search(g)

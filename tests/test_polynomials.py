@@ -7,7 +7,6 @@ from murlab.polynomials import (
     integer_roots,
     poly_ext_gcd,
     poly_gcd,
-    rational_roots,
     root_multiplicity,
     squarefree_decomposition,
 )
@@ -56,17 +55,6 @@ def test_root_multiplicity():
     assert e == 1
     e, cof = root_multiplicity(p, 7)
     assert e == 0 and cof == p
-
-
-def test_rational_roots():
-    assert rational_roots(P(-2, -3, 0, 1)) == [-1, 2]
-    # (2x - 1)(x + 3)
-    assert rational_roots(P(-1, 2) * P(3, 1)) == [-3, Fraction(1, 2)]
-    assert rational_roots(P(0, 0, 1)) == [0]
-    assert rational_roots(P(1, 0, 1)) == []
-    # 6x^3 - 5x^2 - 2x + 1 = (x - 1)(2x + 1)(3x - 1), leading coefficient > 1
-    assert rational_roots(P(1, -2, -5, 6)) == [Fraction(-1, 2), Fraction(1, 3), 1]
-    assert rational_roots(P(7)) == []
 
 
 def test_integer_roots():
