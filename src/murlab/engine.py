@@ -12,7 +12,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice, repeat
 from math import factorial, inf, lcm
 from operator import add, itemgetter, mod, mul, neg
@@ -57,37 +57,34 @@ class ParamPoint:
         return cls(Fraction(beta), Fraction(gamma), Fraction(delta))
 
 
-def universal_matrix(g: Graph, p: ParamPoint) -> list[list]:
-    """A + beta*I + gamma*J + delta*D as a dense matrix of exact scalars."""
-    off = (p.gamma + 0, 1 + p.gamma)  # off the diagonal: no edge, edge
+def u_matrix(g: Graph, alpha, beta, gamma, delta) -> list[list]:
+    """alpha*A + beta*I + gamma*J + delta*D as a dense matrix, its entries
+    computed in whatever scalars the coefficients are given in."""
+    off = (gamma, alpha + gamma)  # off the diagonal: no edge, edge
     out = []
     for i, (bits, deg) in enumerate(zip(g.rows, g.degrees())):
         row = [off[bits >> j & 1] for j in range(g.n)]
-        row[i] = p.beta + p.gamma + p.delta * deg
+        row[i] = beta + gamma + delta * deg
         out.append(row)
     return out
 
 
-def _integer_universal_matrix(g: Graph, p: ParamPoint) -> list[list[int]]:
+def universal_matrix(g: Graph, p: ParamPoint) -> list[list]:
+    """A + beta*I + gamma*J + delta*D as a dense matrix of exact scalars."""
+    return u_matrix(g, 1, p.beta, p.gamma, p.delta)
+
+
+def integer_universal_matrix(g: Graph, p: ParamPoint) -> list[list[int]]:
     """s * universal_matrix(g, p) at a rational point, s the lcm of its
     denominators: an integer matrix of the same rank."""
     s = lcm(p.beta.denominator, p.gamma.denominator, p.delta.denominator)
     b, c, d = (x.numerator * (s // x.denominator) for x in (p.beta, p.gamma, p.delta))
-    off = (c, s + c)
-    out = []
-    for i, (bits, deg) in enumerate(zip(g.rows, g.degrees())):
-        row = [off[bits >> j & 1] for j in range(g.n)]
-        row[i] = b + c + d * deg
-        out.append(row)
-    return out
+    return u_matrix(g, s, b, c, d)
 
 
 def laplacian(g: Graph) -> list[list[int]]:
-    degs = g.degrees()
-    return [
-        [degs[i] if i == j else -1 if g.has_edge(i, j) else 0 for j in range(g.n)]
-        for i in range(g.n)
-    ]
+    """L = D - A."""
+    return u_matrix(g, -1, 0, 0, 1)
 
 
 def complement_params(g: Graph, p: ParamPoint) -> ParamPoint:
@@ -104,23 +101,37 @@ class GraphFacts:
     """Facts about one graph that several bound stages read.
 
     The complement and the family matches are built on construction; the
-    Laplacian characteristic polynomial of each side is computed on first use.
+    Laplacian characteristic polynomial, and the multiplicity read from it,
+    on first use.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self.complement = g.complement()
         self.matches = family_matches(g, self.complement)
-        self._laplacian_charpolys: dict[bool, Poly] = {}
 
     def side(self, on_complement: bool) -> Graph:
         return self.complement if on_complement else self.graph
 
-    def laplacian_charpoly(self, on_complement: bool) -> Poly:
-        if on_complement not in self._laplacian_charpolys:
-            lap = laplacian(self.side(on_complement))
-            self._laplacian_charpolys[on_complement] = charpoly(lap)
-        return self._laplacian_charpolys[on_complement]
+    @cached_property
+    def laplacian_charpoly(self) -> Poly:
+        return charpoly(laplacian(self.graph))
+
+    @cached_property
+    def multiplicity(self) -> int:
+        """M, the largest exponent in the squarefree decomposition of
+        charpoly(L(G))/x: the largest multiplicity of an eigenvalue of L(G)
+        on the vectors orthogonal to the all-ones vector 1; n >= 1.
+
+        L(G) commutes with J and L(complement) = nI - J - L(G), so on 1-perp
+        the eigenvalues of L(complement) are n - lambda for those lambda of
+        L(G), with the same multiplicities.  A side is connected exactly
+        when 0 is not among its eigenvalues on 1-perp, so M is the largest
+        multiplicity of a nonzero Laplacian eigenvalue of each connected
+        side, the graph or its complement.
+        """
+        rest = self.laplacian_charpoly.exact_div(Poly.x_minus(0))
+        return max((e for _, e in squarefree_decomposition(rest)), default=0)
 
 
 @lru_cache(maxsize=1)
@@ -467,7 +478,7 @@ def _minors(g: Graph, k: int, pairs: Iterable[tuple[IndexSet, IndexSet]]):
 
 def _interpolated_minors(g, k, pairs):
     points = minor_points(k)
-    mats = [universal_matrix(g, ParamPoint(b, c, d)) for b, c, d in points]
+    mats = [u_matrix(g, 1, b, c, d) for b, c, d in points]
     half = len(points) // 2
     for rows, cols in pairs:
         values = [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
@@ -477,12 +488,8 @@ def _interpolated_minors(g, k, pairs):
 
 def _table_minors(g, k, w, pairs):
     beta, delta = 1 << w, 1 << w * (k + 1)
-    entries = []  # entries[i]: row i of U at gamma = 0 and at gamma = 1, packed
-    for i, (bits, deg) in enumerate(zip(g.rows, g.degrees())):
-        row0 = [bits >> j & 1 for j in range(g.n)]
-        row0[i] = beta + deg * delta
-        row1 = [x + 1 for x in row0]
-        entries.append((row0, row1))
+    # entries[i]: row i of U at gamma = 0 and at gamma = 1, packed
+    entries = list(zip(u_matrix(g, 1, beta, 0, delta), u_matrix(g, 1, beta, 1, delta)))
     most = _TABLE_BITS // (2 * (k + 1) ** 2 * w)  # entries, each two packed minors
     tables: list[dict] = [{} for _ in range(k)]  # tables[j]: j-minors of prefix[:j]
     prefix: tuple = ()
@@ -695,28 +702,18 @@ def _solve_minor_weights(k, pivots, chosen) -> Optional[Certificate]:
 
 
 def regular_mur(g: Graph) -> int:
-    """Exact value for a regular graph from adjacency eigenvalue multiplicities."""
+    """Exact value for a regular graph: n - 1 - M (see ``GraphFacts.multiplicity``).
+
+    For an r-regular graph L = rI - A, so M is the largest multiplicity of
+    an adjacency eigenvalue other than r, or c - 1 for c components, whichever
+    is larger.
+    """
     degs = g.degrees()
     if not degs:
         return 0
-    r = degs[0]
-    if any(d != r for d in degs):
+    if any(d != degs[0] for d in degs):
         raise EngineError("regular_mur requires a regular graph")
-    n = g.n
-    adj = [[int(g.has_edge(i, j)) for j in range(n)] for i in range(n)]
-    cp = charpoly(adj)
-    c = components(g)[0]
-    mult_r, rest = root_multiplicity(cp, Fraction(r))
-    if mult_r != c:
-        raise EngineError("degree eigenvalue multiplicity does not match components")
-    exps = [e for _, e in squarefree_decomposition(rest)] if rest.degree >= 1 else []
-    m = max(exps, default=0)
-    if c == 1:
-        return n - (m + 1)
-    # Disconnected case: apply the connected-regular formula to the complement.
-    # Orthogonally to the all-ones vector the degree eigenvalue survives with
-    # multiplicity c-1, so the relevant maximum multiplicity is max(m, c-1).
-    return n - 1 - max(m, c - 1)
+    return g.n - 1 - graph_facts(g).multiplicity
 
 
 def _apex_family_value(r: int, s: int) -> Optional[int]:
@@ -759,8 +756,8 @@ def family_mur(g: Graph) -> Optional[tuple[int, Certificate]]:
             if value is not None:
                 return value, cert(m, value)
     for m in matches:
-        if m.kind == "regular":
-            value = regular_mur(facts.side(m.complemented))
+        if m.kind == "regular":  # g and its complement are both regular
+            value = regular_mur(g)
             return value, cert(m, value)
     for m in matches:
         if m.kind == "path":
@@ -772,14 +769,6 @@ def family_mur(g: Graph) -> Optional[tuple[int, Certificate]]:
 
 # ---------------------------------------------------------------------------
 # upper bounds
-
-
-def _laplacian_max_multiplicity(cp: Poly) -> int:
-    """Maximum multiplicity among the nonzero roots of a Laplacian charpoly."""
-    _, rest = root_multiplicity(cp, Fraction(0))
-    if rest.degree < 1:
-        return 0
-    return max(e for _, e in squarefree_decomposition(rest))
 
 
 def structural_upper(g: Graph) -> tuple[int, Certificate]:
@@ -798,10 +787,9 @@ def structural_upper(g: Graph) -> tuple[int, Certificate]:
         cert = Certificate("component_bound", {"components": c, "on_complement": comp_side})
         bounds.append((n - c, cert))
         if c == 1 and n >= 2:
-            m = _laplacian_max_multiplicity(facts.laplacian_charpoly(comp_side))
-            if m >= 1:
-                data = {"multiplicity": m, "on_complement": comp_side}
-                bounds.append((n - m - 1, Certificate("laplacian_multiplicity", data)))
+            m = facts.multiplicity
+            data = {"multiplicity": m, "on_complement": comp_side}
+            bounds.append((n - m - 1, Certificate("laplacian_multiplicity", data)))
     return min(bounds, key=lambda b: b[0])  # the first of the lowest
 
 
@@ -853,10 +841,7 @@ def _line_eigenvalues(g: Graph, delta: Fraction) -> tuple[list[list[int]], list[
     m's characteristic polynomial is monic over the integers, so its rational
     roots are integers: the rational eigenvalues of A + delta*D are mu / s.
     """
-    s = delta.denominator
-    m = [[s if g.has_edge(i, j) else 0 for j in range(g.n)] for i in range(g.n)]
-    for i, deg in enumerate(g.degrees()):
-        m[i][i] = delta.numerator * deg
+    m = u_matrix(g, delta.denominator, 0, 0, delta.numerator)
     roots = integer_roots([c.numerator for c in charpoly(m).coeffs])
     return m, sorted(roots, key=lambda r: -r[1])
 
@@ -899,7 +884,7 @@ def search_lines(g: Graph, lower: int, upper: int, cert: Certificate) -> tuple[i
             if n - mult - 1 >= upper:
                 break
             p = _drop_point(m, mu, delta)
-            r = rank_rational(_integer_universal_matrix(g, p))
+            r = rank_rational(integer_universal_matrix(g, p))
             if r < upper:
                 upper, cert = r, _param_cert(p, r)
     return upper, cert
@@ -917,7 +902,7 @@ def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[AlgebraicContext, Par
     n = g.n
     if n == 0:
         return
-    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly(False), Fraction(0))
+    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly, Fraction(0))
     if rest.degree < 1:
         return
     for factor, _ in squarefree_decomposition(rest):

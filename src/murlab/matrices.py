@@ -17,9 +17,6 @@ from typing import Optional
 from .algebraic import AlgebraicContext, AlgebraicNumber, SplitRequired
 from .polynomials import Poly
 
-Matrix = list  # list of rows; rows are lists of entries
-
-
 def dimensions(m) -> tuple[int, int]:
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -27,10 +24,6 @@ def dimensions(m) -> tuple[int, int]:
         if len(row) != cols:
             raise ValueError("ragged matrix")
     return rows, cols
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def _integer_rows(m) -> list[list[int]]:
@@ -193,15 +186,6 @@ def rank_algebraic(m, context: AlgebraicContext) -> list[tuple[Poly, int]]:
 
     branches = go(reps, context.modulus)
     return sorted(branches, key=lambda br: (br[0].degree, br[0].coeffs))
-
-
-def mat_mul(a, b) -> Matrix:
-    ra, ca = dimensions(a)
-    rb, cb = dimensions(b)
-    if ca != rb:
-        raise ValueError("incompatible dimensions")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def charpoly(m) -> Poly:

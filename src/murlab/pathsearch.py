@@ -51,11 +51,13 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
     best_bound = -1
     best_mask = 0
     budget = node_budget
+    cut = False  # a node was left unvisited for want of budget
     far = list(range(n))
 
     def choose(idx: int, mask: int, size: int, edges: int, lone: int, ends: int) -> None:
-        nonlocal best_bound, best_mask, budget
+        nonlocal best_bound, best_mask, budget, cut
         if budget <= 0:
+            cut = True
             return
         budget -= 1
         # Even in the best case the bound is two less than the vertex count
@@ -90,8 +92,8 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
 
     choose(0, 0, 0, 0, 0, 0)
     if best_bound < 0:
-        return PathForestResult(None, budget > 0)
-    return PathForestResult(_mask_to_witness(g, best_mask), budget > 0)
+        return PathForestResult(None, not cut)
+    return PathForestResult(_mask_to_witness(g, best_mask), not cut)
 
 
 def _mask_to_witness(g: Graph, mask: int) -> PathForestWitness:

@@ -21,17 +21,16 @@ from .engine import (
     MurResult,
     ParamPoint,
     SpreadResult,
-    _laplacian_max_multiplicity,
     family_mur,
-    laplacian,
     constant_one,
+    graph_facts,
+    integer_universal_matrix,
     minor_coefficients,
     minor_points,
     universal_matrix,
 )
-from .families import family_matches
 from .graphs import Graph, GraphError, components, diameter, encode_graph6, parse_graph6
-from .matrices import charpoly, rank_algebraic, rank_rational
+from .matrices import rank_algebraic, rank_rational
 from .pathsearch import PathForestWitness, validate_path_forest
 from .polynomials import Poly, root_multiplicity
 
@@ -120,7 +119,7 @@ class ReplayCheck:
 
 
 def _side(g: Graph, data: dict) -> Graph:
-    return g.complement() if data.get("on_complement") else g
+    return graph_facts(g).complement if data.get("on_complement") else g
 
 
 def _replay_lower(g: Graph, cert: dict) -> tuple[Optional[int], str]:
@@ -143,7 +142,7 @@ def _replay_lower(g: Graph, cert: dict) -> tuple[Optional[int], str]:
             return None, f"recomputed diameter {d} != {data['diameter']}"
         return data["diameter"] - 1, ""
     if kind == "not_in_rank01_families":
-        kinds = {m.kind for m in family_matches(g, g.complement())}
+        kinds = {m.kind for m in graph_facts(g).matches}
         if kinds & {"complete", "empty"}:
             return None, "graph is in a rank-0 family"
         claimed = data["bound"]
@@ -226,8 +225,7 @@ def _replay_algebraic_params(g: Graph, data: dict) -> tuple[Optional[int], str]:
     branch = Poly([_rational(c) for c in data["branch"]])
     if data.get("source") != "laplacian_eigenvalue":
         return None, "algebraic certificate without an eigenvalue provenance"
-    cp = charpoly(laplacian(g))
-    _, rest = root_multiplicity(cp, Fraction(0))
+    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly, Fraction(0))
     try:
         rest.exact_div(branch)
     except ArithmeticError:
@@ -263,7 +261,7 @@ def _replay_upper(g: Graph, cert: dict) -> tuple[Optional[int], str]:
         side = _side(g, data)
         if components(side)[0] != 1:
             return None, "laplacian bound needs a connected side"
-        m = _laplacian_max_multiplicity(charpoly(laplacian(side)))
+        m = graph_facts(g).multiplicity
         if m != data["multiplicity"]:
             return None, f"recomputed multiplicity {m} != {data['multiplicity']}"
         return n - m - 1, ""
@@ -275,7 +273,7 @@ def _replay_upper(g: Graph, cert: dict) -> tuple[Optional[int], str]:
     if kind == "explicit_params":
         if "modulus" in data:
             return _replay_algebraic_params(g, data)
-        r = rank_rational(universal_matrix(g, _parse_point(data)))
+        r = rank_rational(integer_universal_matrix(g, _parse_point(data)))
         if r != data["rank"]:
             return None, f"recomputed rank {r} != {data['rank']}"
         return r, ""

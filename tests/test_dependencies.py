@@ -1,7 +1,7 @@
 """The package has no runtime dependencies: it imports only the standard
 library and itself (numpy, sympy and networkx may be installed, but a
 user's environment need not have them).  Nor does it carry code that only
-its tests reach."""
+its tests reach, or imports it does not use."""
 
 import ast
 import sys
@@ -26,11 +26,34 @@ def test_imports_are_standard_library_or_murlab():
                 )
 
 
+def test_every_import_is_used():
+    # An imported name is used where it appears as a name in the importing
+    # module; the package's __init__ re-exports names through __all__.
+    unused = []
+    for path in sorted(Path(murlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and name not in exported:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"imported under src/murlab/ but never used there: {unused}"
+
+
 # Defined under src/murlab/ but named only outside it.
 DEAD_CODE_ALLOWED = {
     "_refine_algebraic": "perfbench/make_inputs.py builds its algebraic reports with it",
     "petersen": "perfbench/make_inputs.py builds a corpus graph with it",
-    "mat_mul": "the reference product of test_cayley_hamilton",
 }
 
 

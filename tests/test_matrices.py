@@ -9,14 +9,26 @@ from murlab.graphs import complete
 from murlab.matrices import (
     charpoly,
     det_int,
-    mat_mul,
+    dimensions,
     pivot_columns,
     rank_algebraic,
     rank_rational,
     solve_int,
-    transpose,
 )
 from murlab.polynomials import Poly, squarefree_decomposition
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def mat_mul(a, b):
+    ra, ca = dimensions(a)
+    rb, cb = dimensions(b)
+    if ca != rb:
+        raise ValueError("incompatible dimensions")
+    bt = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 L_P3 = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]

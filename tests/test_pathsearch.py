@@ -52,6 +52,13 @@ def test_budget_exhaustion_is_flagged():
     res = best_induced_path_forest(cycle(9), node_budget=3)
     assert not res.exact
     assert best_induced_path_forest(cycle(9)).exact
+    # A search is cut only when a node finds the budget spent: a budget of
+    # exactly the nodes a complete search visits (9 for P4, 18 for C9) is
+    # exact.
+    assert best_induced_path_forest(path(4), node_budget=9).exact
+    assert not best_induced_path_forest(path(4), node_budget=8).exact
+    assert best_induced_path_forest(cycle(9), node_budget=18).exact
+    assert not best_induced_path_forest(cycle(9), node_budget=17).exact
 
 
 def graphs_strategy(max_n=6):
@@ -96,8 +103,11 @@ def test_witness_validation_rejects_garbage():
 # The search as it was before it kept the forest's ends incrementally: a
 # component walk scores each leaf and checks each two-neighbour join for a
 # cycle.  Kept as the reference: the incremental search must give the same
-# node counts, hence the same witness and exactness at every budget.
-def reference_best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PathForestResult:
+# node counts, hence the same witness at every budget.  It also returns the
+# nodes it visited.
+def reference_best_induced_path_forest(
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[PathForestResult, int]:
     """Maximize the path-forest lower bound over induced linear forests."""
     n = g.n
     best_bound = -1
@@ -180,9 +190,10 @@ def reference_best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE
         choose(idx + 1, mask)
 
     choose(0, 0)
+    nodes = node_budget - budget
     if best_bound < 0:
-        return PathForestResult(None, budget > 0)
-    return PathForestResult(reference_mask_to_witness(g, best_mask), budget > 0)
+        return PathForestResult(None, budget > 0), nodes
+    return PathForestResult(reference_mask_to_witness(g, best_mask), budget > 0), nodes
 
 
 def reference_mask_to_witness(g: Graph, mask: int) -> PathForestWitness:
@@ -224,10 +235,15 @@ BUDGETS = [0, 1, 3, 17, 200, 5000, DEFAULT_NODE_BUDGET]
 
 
 def assert_same_search(g):
+    # nodes: those of a complete search, or more than any budget tried
+    complete, nodes = reference_best_induced_path_forest(g, DEFAULT_NODE_BUDGET + 1)
+    if nodes <= DEFAULT_NODE_BUDGET:
+        assert not best_induced_path_forest(g, nodes - 1).exact
+        assert best_induced_path_forest(g, nodes).exact
     for budget in BUDGETS:
         got = best_induced_path_forest(g, budget)
-        want = reference_best_induced_path_forest(g, budget)
-        assert got.exact == want.exact, budget
+        want = complete if budget >= nodes else reference_best_induced_path_forest(g, budget)[0]
+        assert got.exact == (budget >= nodes), budget
         if want.witness is None:
             assert got.witness is None, budget
         else:
