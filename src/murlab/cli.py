@@ -49,7 +49,7 @@ def _summary(res) -> str:
 def cmd_mur(args) -> int:
     try:
         g = _load_graph(args.input)
-    except GraphError as exc:
+    except (OSError, UnicodeDecodeError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.complement:
@@ -83,7 +83,7 @@ def cmd_batch(args) -> int:
     try:
         with open(args.file) as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     budget = _budget_from_args(args)

@@ -21,7 +21,9 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .algebraic import AlgebraicContext, AlgebraicNumber
 from .families import FamilyMatch, family_matches
 from .graphs import Graph, components, diameter
-from .matrices import charpoly, det_int, pivot_columns, rank_algebraic, rank_rational, solve_int
+from .matrices import (
+    _back_substitute, _eliminate, charpoly, det_int, rank_algebraic, rank_rational, solve_int,
+)
 from .pathsearch import (
     DEFAULT_NODE_BUDGET,
     PathForestResult,
@@ -177,8 +179,6 @@ class Certificate:
         if self.kind == "minor_combination":
             k = self.data["k"]
             return f"{len(self.data['minors'])} {k}x{k} minors combine to 1"
-        if self.kind == "regular_spectrum":
-            return f"regular spectrum: m={self.data['multiplicity']}"
         if self.kind == "family_formula":
             return f"family:{self.data['family']}"
         if self.kind == "explicit_params":
@@ -852,18 +852,20 @@ def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> ParamPoint:
     B = U(beta, 0, delta) is symmetric.  J = 11^T has rank one, so the rank
     of B + gamma*J is at least rank(B) - 1, and it reaches that exactly when
     B x = 1 has a solution with 1^T x != 0, at gamma = -1/(1^T x); otherwise
-    gamma = 0 is best.  The solve runs on the block of a column basis of B,
-    which is nonsingular because B is symmetric.
+    gamma = 0 is best.  1^T x is the same for every solution, since B is
+    symmetric and 1 is orthogonal to its kernel.  One elimination of
+    [s*B | 1] decides it: the system is solvable exactly when no row left
+    without a pivot has a nonzero right-hand side.
     """
     s = delta.denominator
-    b = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
-    cols = pivot_columns(b)  # b = s * B
-    y, den = solve_int([[b[i][j] for j in cols] for i in cols], [1] * len(cols))
+    rows = [[x - mu if i == j else x for j, x in enumerate(row)] + [1] for i, row in enumerate(m)]
+    pivots, _ = _eliminate(rows, len(m))
     gamma = Fraction(0)
-    # y / den on cols and zero elsewhere solves b x = 1 if every row agrees;
-    # then B (s x) = 1.
-    if all(sum(row[j] * v for j, v in zip(cols, y)) == den for row in b) and sum(y):
-        gamma = Fraction(-den, s * sum(y))
+    if not any(row[-1] for row in rows[len(pivots):]):
+        # y / den solves (s*B) x = 1, so B (s x) = 1
+        y, den = _back_substitute(rows, pivots)
+        if sum(y):
+            gamma = Fraction(-den, s * sum(y))
     return ParamPoint(Fraction(-mu, s), gamma, delta)
 
 

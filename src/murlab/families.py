@@ -85,15 +85,7 @@ def _matches_one_side(g: Graph) -> list[FamilyMatch]:
             out.append(FamilyMatch("path", {"n": n}))
 
     if degs and degs.count(degs[0]) == n:
-        r = degs[0]
-        out.append(FamilyMatch("regular", {"degree": r}))
-        c, parts = components(g)
-        if r == 2 and len({len(p) for p in parts}) == 1:
-            length = len(parts[0])
-            if length >= 3:
-                if c == 1:
-                    out.append(FamilyMatch("cycle", {"n": length}))
-                out.append(FamilyMatch("equal_cycles", {"k": c, "n": length}))
+        out.append(FamilyMatch("regular", {"degree": degs[0]}))
     return out
 
 

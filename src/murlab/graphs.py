@@ -193,7 +193,8 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the one-edge-per-line 'u v' format (0-indexed)."""
+    """Parse the one-edge-per-line 'u v' format (0-indexed), with optional
+    'n=N' lines for isolated vertices; any other line raises GraphError."""
     edges = []
     top = -1
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -201,12 +202,13 @@ def parse_edge_list(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if len(parts) == 1 and parts[0].startswith("n="):
-            top = max(top, int(parts[0][2:]) - 1)
-            continue
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            if len(parts) == 1 and parts[0].startswith("n="):
+                top = max(top, int(parts[0][2:]) - 1)
+                continue
+            u, v = map(int, parts)
+        except ValueError:
+            raise GraphError(f"line {lineno}: expected 'u v' or 'n=N', got {line!r}") from None
         edges.append((u, v))
         top = max(top, u, v)
     return Graph.from_edges(top + 1, edges)

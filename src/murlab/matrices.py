@@ -2,10 +2,10 @@
 
 Ranks over the rationals and characteristic polynomials are computed over
 the integers, after scaling away the denominators: ranks, determinants and
-square solves by fraction-free (Bareiss) elimination, characteristic
-polynomials by Berkowitz's division-free recursion.  Rank over an algebraic
-extension uses straightforward elimination with dynamic splitting of the
-modulus.
+solves by one fraction-free (Bareiss) elimination whose every division is
+checked, characteristic polynomials by Berkowitz's division-free recursion.
+Rank over an algebraic extension uses straightforward elimination with
+dynamic splitting of the modulus.
 """
 
 from __future__ import annotations
@@ -36,110 +36,91 @@ def _integer_rows(m) -> list[list[int]]:
     return out
 
 
-def _bareiss_pivots(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of an integer matrix, eliminated in place."""
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    r = 0
-    prev = 1
-    pivots = []
-    for c in range(nc):
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Pivots are taken in the first ``ncols`` columns only; later columns (a
+    right-hand side) are carried along.  Returns the pivot columns, in
+    increasing order, and the number of row swaps.  The top len(pivots) rows
+    are left in echelon form and the others zero in the first ``ncols``
+    columns.  Each entry below a pivot row is a minor of the input
+    (Sylvester's identity), so every division by the previous pivot is
+    exact; one that is not raises ArithmeticError.
+    """
+    nr = len(rows)
+    pivots: list[int] = []
+    swaps, prev = 0, 1
+    for c in range(ncols):
+        r = len(pivots)
         if r == nr:
             break
-        piv_row = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                piv_row = i
-                break
-        if piv_row is None:
+        p = next((i for i in range(r, nr) if rows[i][c]), None)
+        if p is None:
             continue
-        if piv_row != r:
-            rows[r], rows[piv_row] = rows[piv_row], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            head = rows[i][c]
-            for j in range(c + 1, nc):
-                num = piv * rows[i][j] - head * rows[r][j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free step not exact"
-                rows[i][j] = q
-            rows[i][c] = 0
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            swaps += 1
+        top = rows[r]
+        piv, tail = top[c], range(c + 1, len(top))
+        for row in rows[r + 1:]:
+            head = row[c]
+            for j in tail:
+                row[j], rem = divmod(piv * row[j] - head * top[j], prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination step not exact")
+            row[c] = 0
         prev = piv
         pivots.append(c)
-        r += 1
-    return pivots
+    return pivots, swaps
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int]) -> tuple[list[int], int]:
+    """The solution of the echelon rows ``_eliminate`` leaves, with the last
+    column as right-hand side and zero off the pivot columns, as integer
+    numerators over one denominator: x at column pivots[i] is y[i] / den.
+
+    den is the last pivot, +-det of the pivot block, so den * x is integral
+    by Cramer's rule and each division is exact; one that is not raises
+    ArithmeticError.
+    """
+    r = len(pivots)
+    den = rows[r - 1][pivots[-1]] if r else 1
+    y = [0] * r
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
+        s = den * row[-1] - sum(row[pivots[j]] * y[j] for j in range(i + 1, r))
+        y[i], rem = divmod(s, row[pivots[i]])
+        if rem:
+            raise ArithmeticError("back substitution not exact")
+    return y, den
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
+    """Determinant of a square integer matrix: the last pivot of its
+    elimination, signed by the row swaps, or 0 when the rank is short."""
+    n = len(rows)
     a = [list(row) for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        if a[c][c] == 0:
-            for i in range(c + 1, n):
-                if a[i][c] != 0:
-                    a[c], a[i] = a[i], a[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv, top = a[c][c], a[c]
-        for i in range(c + 1, n):
-            row = a[i]
-            head = row[c]
-            for j in range(c + 1, n):
-                row[j] = (piv * row[j] - head * top[j]) // prev
-        prev = piv
-    return sign * a[n - 1][n - 1]
+    pivots, swaps = _eliminate(a, n)
+    if len(pivots) < n:
+        return 0
+    return (-1) ** swaps * a[-1][-1] if n else 1
 
 
 def solve_int(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int]]:
     """The solution of the square integer system a x = b as integer
     numerators over one common denominator, (y, den) with x = y / den; None
-    if a is singular.
-
-    Fraction-free elimination keeps every intermediate an integer.  den is
-    the last pivot, +-det(a), so den * x is integral by Cramer's rule and
-    each division of the back substitution is exact.
+    if a is singular.  den is the last pivot, +-det(a).
     """
     n = len(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    prev = 1
-    for c in range(n):
-        piv_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv_row is None:
-            return None
-        aug[c], aug[piv_row] = aug[piv_row], aug[c]
-        piv, top = aug[c][c], aug[c]
-        for i in range(c + 1, n):
-            row = aug[i]
-            head = row[c]
-            for j in range(c + 1, n + 1):
-                row[j] = (piv * row[j] - head * top[j]) // prev
-            row[c] = 0
-        prev = piv
-    den = prev
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = den * aug[i][n] - sum(aug[i][j] * y[j] for j in range(i + 1, n))
-        y[i] = s // aug[i][i]
-    return y, den
-
-
-def pivot_columns(m) -> list[int]:
-    """The pivot columns of a rational matrix under elimination, in
-    increasing order: a basis of its column space."""
-    nr, nc = dimensions(m)
-    if nr == 0 or nc == 0:
-        return []
-    return _bareiss_pivots(_integer_rows(m))
+    rows = [[*row, x] for row, x in zip(a, b)]
+    pivots, _ = _eliminate(rows, n)
+    return _back_substitute(rows, pivots) if len(pivots) == n else None
 
 
 def rank_rational(m) -> int:
     """Exact rank of a matrix with rational entries."""
-    return len(pivot_columns(m))
+    _, nc = dimensions(m)
+    return len(_eliminate(_integer_rows(m), nc)[0])
 
 
 def rank_algebraic(m, context: AlgebraicContext) -> list[tuple[Poly, int]]:

@@ -1,7 +1,8 @@
 """The package has no runtime dependencies: it imports only the standard
 library and itself (numpy, sympy and networkx may be installed, but a
 user's environment need not have them).  Nor does it carry code that only
-its tests reach, or imports it does not use."""
+its tests reach, or imports it does not use, or asserts that ``python -O``
+would strip."""
 
 import ast
 import sys
@@ -48,6 +49,18 @@ def test_every_import_is_used():
                     if name not in used and name not in exported:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"imported under src/murlab/ but never used there: {unused}"
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a check the package relies on
+    # must raise instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(murlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements under src/murlab/: {found}"
 
 
 # Defined under src/murlab/ but named only outside it.

@@ -1,0 +1,256 @@
+"""One fraction-free elimination for rank, determinant, solve and the
+delta-line drop point.
+
+The three Bareiss loops and the two-pass drop point it replaced are kept
+here verbatim as references (with the matrix helpers they called renamed).
+"""
+
+import inspect
+import textwrap
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from murlab import engine, matrices
+from murlab.engine import ParamPoint, _delta_lines, _drop_point, _line_eigenvalues
+from murlab.graphs import cycle
+from murlab.matrices import _back_substitute, _eliminate, det_int, rank_rational, solve_int
+from test_spectrum import atlas7
+
+
+def reference_bareiss_pivots(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of an integer matrix, eliminated in place."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    r = 0
+    prev = 1
+    pivots = []
+    for c in range(nc):
+        if r == nr:
+            break
+        piv_row = None
+        for i in range(r, nr):
+            if rows[i][c] != 0:
+                piv_row = i
+                break
+        if piv_row is None:
+            continue
+        if piv_row != r:
+            rows[r], rows[piv_row] = rows[piv_row], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nr):
+            head = rows[i][c]
+            for j in range(c + 1, nc):
+                num = piv * rows[i][j] - head * rows[r][j]
+                q, rem = divmod(num, prev)
+                assert rem == 0, "fraction-free step not exact"
+                rows[i][j] = q
+            rows[i][c] = 0
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def reference_det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if a[c][c] == 0:
+            for i in range(c + 1, n):
+                if a[i][c] != 0:
+                    a[c], a[i] = a[i], a[c]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv, top = a[c][c], a[c]
+        for i in range(c + 1, n):
+            row = a[i]
+            head = row[c]
+            for j in range(c + 1, n):
+                row[j] = (piv * row[j] - head * top[j]) // prev
+        prev = piv
+    return sign * a[n - 1][n - 1]
+
+
+def reference_solve_int(a, b):
+    """The solution of the square integer system a x = b as integer
+    numerators over one common denominator, (y, den) with x = y / den; None
+    if a is singular."""
+    n = len(a)
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    prev = 1
+    for c in range(n):
+        piv_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv_row is None:
+            return None
+        aug[c], aug[piv_row] = aug[piv_row], aug[c]
+        piv, top = aug[c][c], aug[c]
+        for i in range(c + 1, n):
+            row = aug[i]
+            head = row[c]
+            for j in range(c + 1, n + 1):
+                row[j] = (piv * row[j] - head * top[j]) // prev
+            row[c] = 0
+        prev = piv
+    den = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        s = den * aug[i][n] - sum(aug[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = s // aug[i][i]
+    return y, den
+
+
+def reference_drop_point(m: list[list[int]], mu: int, delta: Fraction) -> ParamPoint:
+    """The point of lowest rank with beta = -mu/s on the line of delta,
+    solved on the principal block of a column basis of B."""
+    s = delta.denominator
+    b = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    cols = reference_bareiss_pivots([list(row) for row in b])  # b = s * B
+    y, den = reference_solve_int([[b[i][j] for j in cols] for i in cols], [1] * len(cols))
+    gamma = Fraction(0)
+    # y / den on cols and zero elsewhere solves b x = 1 if every row agrees;
+    # then B (s x) = 1.
+    if all(sum(row[j] * v for j, v in zip(cols, y)) == den for row in b) and sum(y):
+        gamma = Fraction(-den, s * sum(y))
+    return ParamPoint(Fraction(-mu, s), gamma, delta)
+
+
+def rationals(y, den):
+    return [Fraction(v, den) for v in y]
+
+
+entries = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@st.composite
+def int_matrices(draw, square=False):
+    """Integer matrices up to 8 x 8, some with a row that combines others."""
+    nr = draw(st.integers(0, 8))
+    nc = nr if square else draw(st.integers(0, 8))
+    m = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if nr >= 2 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=nr - 1, max_size=nr - 1))
+        m[draw(st.integers(0, nr - 1))] = [
+            sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(nc)
+        ]
+    return m
+
+
+@settings(max_examples=300)
+@given(int_matrices())
+def test_pivots_and_rank_match_the_reference(m):
+    want = reference_bareiss_pivots([list(row) for row in m])
+    rows = [list(row) for row in m]
+    assert _eliminate(rows, len(m[0]) if m else 0)[0] == want
+    assert rank_rational(m) == len(want)
+    # the rows without a pivot are left zero
+    assert not any(x for row in rows[len(want):] for x in row)
+
+
+@settings(max_examples=300)
+@given(int_matrices(square=True), st.data())
+def test_determinant_and_solve_match_the_reference(m, data):
+    n = len(m)
+    assert det_int(m) == reference_det_int(m)
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    got, want = solve_int(m, b), reference_solve_int(m, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert abs(got[1]) == abs(want[1]) and rationals(*got) == rationals(*want)
+
+
+@settings(max_examples=300)
+@given(int_matrices(), st.data())
+def test_rectangular_systems(m, data):
+    # [a | b] eliminated on a's columns: consistent exactly when appending b
+    # keeps the rank, and then y / den on the pivot columns solves a x = b.
+    nc = len(m[0]) if m else 0
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=len(m), max_size=len(m)))
+    rows = [[*row, x] for row, x in zip(m, b)]
+    pivots, _ = _eliminate(rows, nc)
+    consistent = not any(row[-1] for row in rows[len(pivots):])
+    augmented = reference_bareiss_pivots([[*row, x] for row, x in zip(m, b)])
+    assert consistent == (len(augmented) == len(pivots))
+    if consistent:
+        y, den = _back_substitute(rows, pivots)
+        x = dict(zip(pivots, rationals(y, den)))
+        assert [sum(a * x.get(j, 0) for j, a in enumerate(row)) for row in m] == b
+
+
+def test_drop_points_on_every_delta_line_of_the_seven_vertex_atlas():
+    tried = 0
+    for g in atlas7():
+        for delta in _delta_lines(g):
+            m, eigenvalues = _line_eigenvalues(g, delta)
+            for mu, _ in eigenvalues:
+                assert _drop_point(m, mu, delta) == reference_drop_point(m, mu, delta)
+                tried += 1
+    assert tried > 10000
+
+
+def planted(monkeypatch, old, new):
+    """Replace ``matrices._eliminate`` by a copy with one fault planted."""
+    source = textwrap.dedent(inspect.getsource(matrices._eliminate))
+    assert source.count(old) == 1
+    namespace = dict(vars(matrices))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(matrices, "_eliminate", namespace["_eliminate"])
+
+
+# Its pivots are 3, 8, 21 and -8 = det(M).
+M = [[3, 1, 1, 1], [1, 3, 0, 2], [1, 0, 3, 0], [1, 2, 0, 1]]
+
+
+def test_the_unplanted_copy_is_exact(monkeypatch):
+    planted(monkeypatch, "prev = piv", "prev = piv")
+    assert matrices.rank_rational(M) == 4 and matrices.det_int(M) == reference_det_int(M) == -8
+    assert matrices.solve_int(M, [1, 1, 1, 1]) == reference_solve_int(M, [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # prev kept at the first pivot, so the third step divides by 3, not 8
+        ("prev = piv", "prev = piv if prev == 1 else prev"),
+        # each step divides by its own pivot instead of the one before
+        ("head * top[j], prev)", "head * top[j], piv)"),
+    ],
+)
+def test_a_planted_fault_raises(monkeypatch, old, new):
+    planted(monkeypatch, old, new)
+    for run in (
+        lambda: matrices.rank_rational(M),
+        lambda: matrices.det_int(M),
+        lambda: matrices.solve_int(M, [1, 1, 1, 1]),
+    ):
+        with pytest.raises(ArithmeticError):
+            run()
+
+
+def test_a_wrong_denominator_raises():
+    rows = [[*row, 1] for row in M]
+    pivots, _ = _eliminate(rows, 4)
+    rows[3][3] += 1  # the last pivot, which back substitution takes as den
+    with pytest.raises(ArithmeticError):
+        _back_substitute(rows, pivots)
+
+
+def test_drop_point_runs_one_elimination(monkeypatch):
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append((len(rows), ncols))
+        return _eliminate(rows, ncols)
+
+    monkeypatch.setattr(engine, "_eliminate", counted)
+    m, eigenvalues = _line_eigenvalues(cycle(6), Fraction(0))
+    assert sorted(mu for mu, _ in eigenvalues) == [-2, -1, 1, 2]
+    for mu, _ in eigenvalues:
+        _drop_point(m, mu, Fraction(0))
+    assert calls == [(6, 6)] * 4

@@ -58,19 +58,10 @@ def test_apex_recognition():
 def test_path_and_cycle():
     assert "path" in kinds(path(6), complemented=False)
     assert "path" not in kinds(cycle(6), complemented=False)
-    assert "cycle" in kinds(cycle(6), complemented=False)
     assert "regular" in kinds(cycle(6), complemented=False)
     # connectivity matters: C3 u P2 has the path degree profile
     g = disjoint_union([cycle(3), path(2)])
     assert "path" not in kinds(g, complemented=False)
-
-
-def test_equal_cycles():
-    g = disjoint_union([cycle(4), cycle(4)])
-    matches = [m for m in family_matches(g, g.complement()) if m.kind == "equal_cycles"]
-    assert matches and matches[0].params == {"k": 2, "n": 4}
-    g2 = disjoint_union([cycle(3), cycle(4)])
-    assert "equal_cycles" not in kinds(g2, complemented=False)
 
 
 def graphs_strategy(max_n=7):

@@ -10,7 +10,6 @@ from murlab.matrices import (
     charpoly,
     det_int,
     dimensions,
-    pivot_columns,
     rank_algebraic,
     rank_rational,
     solve_int,
@@ -232,17 +231,18 @@ def test_solve_int_matches_fraction_elimination(m, data):
         assert [Fraction(v, den) for v in y] == want
 
 
-@given(sym_matrices)
-def test_pivot_columns_of_symmetric_matrices(m):
-    # A column basis, whose principal block is nonsingular since m is symmetric.
-    cols = pivot_columns(m)
-    assert cols == sorted(cols) and len(cols) == rank_rational(m)
-    assert rank_rational([[row[j] for j in cols] for row in m]) == len(cols)
-    block = [[m[i][j] for j in cols] for i in cols]
-    assert rank_rational(block) == len(cols)
+@st.composite
+def rect_matrices(draw):
+    """A rectangular integer product u v, u nr x k and v k x nc, so its rank
+    is often below min(nr, nc)."""
+    nr, k, nc = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    u = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=nr, max_size=nr))
+    v = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=k, max_size=k))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*v)] for row in u]
 
 
-@given(sym_matrices)
+@given(rect_matrices())
 def test_rank_transpose_invariant(m):
     assert rank_rational(m) == rank_rational(transpose(m))
 

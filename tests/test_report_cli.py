@@ -265,6 +265,28 @@ def test_cli_mur_bad_input(capsys):
     assert code == EXIT_USAGE and "error" in err
 
 
+@pytest.mark.parametrize("text, line", [("0 1\na b\n", 2), ("n=x\n0 1\n", 1)])
+def test_cli_mur_edge_list_with_a_bad_token(tmp_path, capsys, text, line):
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "mur", str(f))
+    assert code == EXIT_USAGE and not out
+    assert err.startswith(f"error: line {line}: ") and "Traceback" not in err
+
+
+def test_cli_mur_directory(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "mur", str(tmp_path))
+    assert code == EXIT_USAGE and not out and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["mur", "batch"])
+def test_cli_file_that_is_not_text(tmp_path, capsys, command):
+    f = tmp_path / "g.bin"
+    f.write_bytes(b"\xff\xfe\x00\n")
+    code, out, err = run_cli(capsys, command, str(f))
+    assert code == EXIT_USAGE and not out and err.startswith("error: ")
+
+
 def test_cli_batch(tmp_path, capsys):
     import networkx as nx
 
