@@ -16,14 +16,12 @@ from .engine import (
     spread_bounds,
     universal_matrix,
 )
-from .fixtures import FIXTURE_NAMES, verify_fixture
 from .graphs import Graph, GraphError, Graph6Error, encode_graph6, parse_edge_list, parse_graph6
 from .report import build_report, parse_report, replay_report, report_to_json
 
 __all__ = [
     "Budget",
     "Certificate",
-    "FIXTURE_NAMES",
     "Graph",
     "Graph6Error",
     "GraphError",
@@ -46,7 +44,6 @@ __all__ = [
     "report_to_json",
     "spread_bounds",
     "universal_matrix",
-    "verify_fixture",
 ]
 
 __version__ = "0.1.0"

@@ -22,14 +22,18 @@ class Graph6Error(GraphError):
         self.offset = offset
 
 
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 class Graph:
     """Immutable simple graph; adjacency stored as one int bitmask per vertex."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[int]):
-        if not 0 <= n <= MAX_VERTICES:
-            raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        _check_order(n)
         if len(rows) != n:
             raise GraphError("adjacency row count does not match vertex count")
         mask = (1 << n) - 1
@@ -47,6 +51,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -202,15 +207,21 @@ def parse_edge_list(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
+        count = None
         try:
             if len(parts) == 1 and parts[0].startswith("n="):
-                top = max(top, int(parts[0][2:]) - 1)
-                continue
-            u, v = map(int, parts)
+                count = int(parts[0][2:])
+            else:
+                u, v = map(int, parts)
         except ValueError:
             raise GraphError(f"line {lineno}: expected 'u v' or 'n=N', got {line!r}") from None
-        edges.append((u, v))
-        top = max(top, u, v)
+        if count is None:
+            edges.append((u, v))
+            top = max(top, u, v)
+        elif count < 0:
+            raise GraphError(f"line {lineno}: negative vertex count {count}")
+        else:
+            top = max(top, count - 1)
     return Graph.from_edges(top + 1, edges)
 
 

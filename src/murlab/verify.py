@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import graphs
+from .algebraic import AlgebraicContext, AlgebraicNumber
 from .engine import (
     Budget,
     ParamPoint,
@@ -20,9 +21,9 @@ from .engine import (
     spread_bounds,
     universal_matrix,
 )
-from .fixtures import verify_fixture
 from .graphs import Graph
-from .matrices import rank_rational
+from .matrices import rank_algebraic, rank_rational
+from .polynomials import Poly
 
 Check = tuple[str, bool, str]
 
@@ -41,10 +42,32 @@ def _random_point(rng: random.Random) -> ParamPoint:
     return ParamPoint(f(), f(), f())
 
 
-def _exact_check(name: str, g: Graph, want: int, budget: Budget = Budget()) -> Check:
-    res = compute_mur(g, budget)
+def _exact_check(name: str, g: Graph, want: int) -> Check:
+    res = compute_mur(g, Budget())
     ok = res.exact and res.value == want
     return name, ok, f"got [{res.lower}, {res.upper}], want {want}"
+
+
+def _branch_check(
+    name: str, n: int, modulus: tuple[int, ...],
+    gamma: Callable[[AlgebraicNumber], AlgebraicNumber],
+) -> Check:
+    """P'n at (beta, gamma, delta) = (-theta, gamma(theta), theta) with theta
+    a root of ``modulus``: rank n - 2 on every branch."""
+    ctx = AlgebraicContext(Poly(modulus))
+    theta = ctx.generator()
+    p = ParamPoint(-theta, gamma(theta), theta)
+    branches = rank_algebraic(universal_matrix(graphs.p_prime(n), p), ctx)
+    msg = "; ".join(f"branch {b!r} rank {r}" for b, r in branches)
+    return f"fixture {name}", all(r == n - 2 for _, r in branches), msg
+
+
+# U(1, 1, -1/3, -1) of the path on 3 vertices, of rank 1.
+PATH3_SHIFT_MATRIX = [
+    [Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 3)],
+    [Fraction(2, 3), Fraction(-4, 3), Fraction(2, 3)],
+    [Fraction(-1, 3), Fraction(2, 3), Fraction(-1, 3)],
+]
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +226,18 @@ def suite_pprime() -> list[Check]:
         ok = res.exact and res.value == n - 1 and res.lower_cert.kind == "minor_combination"
         msg = f"got [{res.lower}, {res.upper}] ({res.lower_cert.describe()}), want {n - 1}"
         out.append((f"P'{n}", ok, msg))
-    for name in ("pprime8-golden", "pprime10-heptagon", "path-laplacian-shift"):
-        rep = verify_fixture(name)
-        out.append((f"fixture {name}", rep.passed, "; ".join(rep.details)))
+    # P'8 and P'10 reach rank n - 2 only at irrational points, checked on
+    # every branch: delta = theta, beta = -theta over Q[x]/(x^2 - x - 1),
+    # and over Q[x]/(x^3 - x^2 - 2x + 1), the minimal polynomial of
+    # -2*cos(2*pi/7) and its conjugates.
+    out.append(_branch_check("pprime8-golden", 8, (-1, -1, 1), lambda t: (t * 3 - 5).inverse()))
+    out.append(_branch_check("pprime10-heptagon", 10, (1, -2, -1, 1),
+                             lambda t: -((t * t - t * 5 + 6).inverse())))
+    m = universal_matrix(graphs.path(3), ParamPoint.rational(1, Fraction(-1, 3), -1))
+    r = rank_rational(m)
+    pinned = m == PATH3_SHIFT_MATRIX
+    msg = f"rank {r}" if pinned else f"matrix mismatch; rank {r}"
+    out.append(("fixture path-laplacian-shift", pinned and r == 1, msg))
     return out
 
 

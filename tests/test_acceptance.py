@@ -15,15 +15,17 @@ import pytest
 
 from murlab.engine import (
     Budget,
+    Certificate,
     ParamPoint,
     complement_params,
     compute_mur,
     laplacian,
+    minors_combination,
     mur_spread,
+    search_lines,
     spread_bounds,
     universal_matrix,
 )
-from murlab.fixtures import verify_fixture
 from murlab.graphs import (
     Graph,
     clique_isolated_apex,
@@ -39,6 +41,7 @@ from murlab.graphs import (
 )
 from murlab.matrices import charpoly, rank_rational
 from murlab.polynomials import Poly
+from murlab.report import _parse_point, _replay_lower
 from murlab.verify import (
     suite_complements,
     suite_families,
@@ -189,12 +192,20 @@ def test_criterion_3_spread_value_two_unattainable():
     # has spread 2 at its far endpoint only if its minimum universal rank is
     # exactly 3 *and* certified: the path and diameter bounds stop at 2, so
     # the lower bound 3 comes from a combination of 3x3 minors equal to 1,
-    # and the fixture replays it next to a parameter point of rank 3.
-    rep = verify_fixture("generalized-star")
-    sp = mur_spread(p_prime(4), 0)
+    # which must replay, next to a parameter point of rank 3 on the delta
+    # lines (compute_mur's own upper certificate is the order bound).
+    g = p_prime(4)
     failures = []
-    if not rep.passed:
-        failures.append("; ".join(rep.details))
+    cert = minors_combination(g, 3)
+    replayed = cert and _replay_lower(g, {"kind": cert.kind, "data": cert.data})
+    if not replayed or replayed[0] != 3:
+        failures.append(f"3x3 minors certificate {cert} replays to {replayed}, want 3")
+    _, found = search_lines(g, 3, g.n, Certificate("trivial"))
+    if found.kind != "explicit_params":
+        failures.append(f"no point of rank 3 on the delta lines ({found.describe()})")
+    elif rank_rational(universal_matrix(g, _parse_point(found.data))) != 3:
+        failures.append(f"rank of U at {found.data} is not 3")
+    sp = mur_spread(g, 0)
     if sp.value != 2:
         failures.append(f"spread interval [{sp.lower}, {sp.upper}], want exactly 2")
     announce("3 spread-value-two", failures)

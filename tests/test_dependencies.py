@@ -51,6 +51,13 @@ def test_every_import_is_used():
     assert not unused, f"imported under src/murlab/ but never used there: {unused}"
 
 
+def test_every_export_resolves_once():
+    # A stale name in __all__ breaks only ``from murlab import *``.
+    missing = [name for name in murlab.__all__ if not hasattr(murlab, name)]
+    repeated = [name for name, count in Counter(murlab.__all__).items() if count > 1]
+    assert not missing and not repeated, f"missing {missing}, listed twice {repeated}"
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so a check the package relies on
     # must raise instead.

@@ -265,13 +265,23 @@ def test_cli_mur_bad_input(capsys):
     assert code == EXIT_USAGE and "error" in err
 
 
-@pytest.mark.parametrize("text, line", [("0 1\na b\n", 2), ("n=x\n0 1\n", 1)])
+@pytest.mark.parametrize("text, line", [("0 1\na b\n", 2), ("n=x\n0 1\n", 1), ("n=-3\n", 1)])
 def test_cli_mur_edge_list_with_a_bad_token(tmp_path, capsys, text, line):
     f = tmp_path / "g.txt"
     f.write_text(text)
     code, out, err = run_cli(capsys, "mur", str(f))
     assert code == EXIT_USAGE and not out
     assert err.startswith(f"error: line {line}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, n", [("n=1000000000000000\n", 10**15), ("0 1000000000000000\n", 10**15 + 1)])
+def test_cli_mur_edge_list_with_too_many_vertices(tmp_path, capsys, text, n):
+    # the bound is checked before any adjacency row is allocated
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, "mur", str(f))
+    assert code == EXIT_USAGE and not out
+    assert err == f"error: vertex count {n} outside 0..64\n"
 
 
 def test_cli_mur_directory(tmp_path, capsys):
@@ -319,6 +329,17 @@ def test_cli_verify(capsys):
     assert "checks passed" in out
     code, _, err = run_cli(capsys, "verify", "no-such-suite")
     assert code == EXIT_USAGE and "error" in err
+
+
+def test_cli_verify_pprime_verbose(capsys):
+    code, out, _ = run_cli(capsys, "verify", "pprime", "--verbose")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[-1] == "pprime: 10/10 checks passed"
+    assert [line.split("  ")[1] for line in lines if "fixture" in line] == [
+        "fixture pprime8-golden", "fixture pprime10-heptagon", "fixture path-laplacian-shift",
+    ]
+    assert all(line.startswith("PASS  ") for line in lines[:-1])
 
 
 def test_cli_replay(tmp_path, capsys):
