@@ -18,7 +18,6 @@ from math import factorial, inf, lcm
 from operator import add, itemgetter, mod, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .algebraic import AlgebraicContext, AlgebraicNumber
 from .families import FamilyMatch, family_matches
 from .graphs import Graph, components, diameter
 from .matrices import (
@@ -31,7 +30,7 @@ from .pathsearch import (
 )
 from .polynomials import Poly, integer_roots, root_multiplicity, squarefree_decomposition
 
-Scalar = Union[Fraction, AlgebraicNumber]
+Scalar = Union[Fraction, Poly]
 
 
 class EngineError(ValueError):
@@ -45,14 +44,6 @@ class ParamPoint:
     beta: Scalar
     gamma: Scalar
     delta: Scalar
-
-    def __post_init__(self):
-        ctxs = {
-            s.context for s in (self.beta, self.gamma, self.delta)
-            if isinstance(s, AlgebraicNumber)
-        }
-        if len(ctxs) > 1:
-            raise EngineError("parameter scalars use different algebraic contexts")
 
     @classmethod
     def rational(cls, beta, gamma, delta) -> "ParamPoint":
@@ -892,7 +883,7 @@ def search_lines(g: Graph, lower: int, upper: int, cert: Certificate) -> tuple[i
     return upper, cert
 
 
-def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[AlgebraicContext, ParamPoint]]:
+def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[Poly, ParamPoint]]:
     """Laplacian-shift points at irrational eigenvalues, one per squarefree factor.
 
     Every root of each factor is a genuine (real) Laplacian eigenvalue, so the
@@ -910,21 +901,19 @@ def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[AlgebraicContext, Par
     for factor, _ in squarefree_decomposition(rest):
         if factor.degree < 2:
             continue
-        ctx = AlgebraicContext(factor)
-        theta = ctx.generator()
-        yield ctx, ParamPoint(theta, theta * Fraction(-1, n), ctx.element(-1))
+        theta = Poly.x()
+        yield factor, ParamPoint(theta, theta * Fraction(-1, n), Poly((-1,)))
 
 
-def _alg_param_cert(ctx: AlgebraicContext, branch: Poly, p: ParamPoint, rank: int) -> Certificate:
-    def coeffs(s) -> list[str]:
-        rep = s.rep if isinstance(s, AlgebraicNumber) else Poly((s,))
-        return [str(c) for c in rep.coeffs]
+def _alg_param_cert(modulus: Poly, branch: Poly, p: ParamPoint, rank: int) -> Certificate:
+    def coeffs(s: Poly) -> list[str]:
+        return [str(c) for c in s.coeffs]
 
     return Certificate(
         "explicit_params",
         {
-            "modulus": [str(c) for c in ctx.modulus.coeffs],
-            "branch": [str(c) for c in branch.coeffs],
+            "modulus": coeffs(modulus),
+            "branch": coeffs(branch),
             "beta": coeffs(p.beta),
             "gamma": coeffs(p.gamma),
             "delta": coeffs(p.delta),
@@ -938,12 +927,12 @@ def _refine_algebraic(g, lower, upper, ucert):
     """The lowest rank below ``upper`` at an irrational Laplacian-shift
     point, stopping at ``lower``, with its algebraic certificate; for replay
     data and tests, not the bounds pipeline."""
-    for ctx, p in algebraic_eigen_candidates(g):
+    for factor, p in algebraic_eigen_candidates(g):
         if upper <= lower:
             break
-        for branch, r in rank_algebraic(universal_matrix(g, p), ctx):
+        for branch, r in rank_algebraic(universal_matrix(g, p), factor):
             if r < upper:
-                upper, ucert = r, _alg_param_cert(ctx, branch, p, r)
+                upper, ucert = r, _alg_param_cert(factor, branch, p, r)
     return upper, ucert
 
 

@@ -216,6 +216,9 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise GraphError(f"line {lineno}: expected 'u v' or 'n=N', got {line!r}") from None
         if count is None:
+            for x in (u, v):
+                if not 0 <= x < MAX_VERTICES:
+                    raise GraphError(f"line {lineno}: vertex index {x} outside 0..{MAX_VERTICES - 1}")
             edges.append((u, v))
             top = max(top, u, v)
         elif count < 0:

@@ -4,8 +4,9 @@ Ranks over the rationals and characteristic polynomials are computed over
 the integers, after scaling away the denominators: ranks, determinants and
 solves by one fraction-free (Bareiss) elimination whose every division is
 checked, characteristic polynomials by Berkowitz's division-free recursion.
-Rank over an algebraic extension uses straightforward elimination with
-dynamic splitting of the modulus.
+Rank over an algebraic extension Q[x]/(f) uses straightforward elimination
+on polynomials in x reduced mod f, splitting f whenever a pivot is a zero
+divisor.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .algebraic import AlgebraicContext, AlgebraicNumber, SplitRequired
-from .polynomials import Poly
+from .polynomials import Poly, SplitRequired, check_modulus, inverse_mod
 
 def dimensions(m) -> tuple[int, int]:
     rows = len(m)
@@ -123,49 +123,45 @@ def rank_rational(m) -> int:
     return len(_eliminate(_integer_rows(m), nc)[0])
 
 
-def rank_algebraic(m, context: AlgebraicContext) -> list[tuple[Poly, int]]:
+def rank_algebraic(m, modulus: Poly) -> list[tuple[Poly, int]]:
     """Rank of a matrix over Q[x]/(modulus), branch by branch.
 
-    Returns (branch modulus, rank) pairs; the branch moduli are pairwise
-    coprime, monic, and multiply back to the context modulus.  Elimination
-    restarts on each branch whenever a pivot turns out to be a zero divisor.
+    Entries are Polys in x, the class of a root theta of the modulus, or
+    ints and Fractions; each is reduced mod the branch modulus on entry and
+    after every product.  The modulus is made monic and must be squarefree of
+    degree >= 1 (``check_modulus``).  Returns (branch modulus, rank) pairs;
+    the branch moduli are pairwise coprime, monic, and multiply back to the
+    modulus.  Elimination restarts on each branch whenever a pivot turns out
+    to be a zero divisor (the D5 principle).
     """
     nr, nc = dimensions(m)
-    reps = [[(e.rep if isinstance(e, AlgebraicNumber) else Poly((e,))) for e in row] for row in m]
+    reps = [[e if isinstance(e, Poly) else Poly((e,)) for e in row] for row in m]
 
-    def go(rows: list[list[Poly]], modulus: Poly) -> list[tuple[Poly, int]]:
-        ctx = AlgebraicContext(modulus)
-        mat = [[ctx.element(e) for e in row] for row in rows]
+    def go(rows: list[list[Poly]], f: Poly) -> list[tuple[Poly, int]]:
+        mat = [[e % f for e in row] for row in rows]
         r = 0
         for c in range(nc):
             if r == nr:
                 break
-            piv_row = None
-            for i in range(r, nr):
-                if not mat[i][c].is_zero():
-                    piv_row = i
-                    break
-            if piv_row is None:
+            p = next((i for i in range(r, nr) if mat[i][c]), None)
+            if p is None:
                 continue
-            if piv_row != r:
-                mat[r], mat[piv_row] = mat[piv_row], mat[r]
+            mat[r], mat[p] = mat[p], mat[r]
             try:
-                inv = mat[r][c].inverse()
+                inv = inverse_mod(mat[r][c], f)
             except SplitRequired as exc:
-                snapshot = [[e.rep for e in row] for row in mat]
-                return go(snapshot, exc.split.f1) + go(snapshot, exc.split.f2)
-            for i in range(r + 1, nr):
-                head = mat[i][c]
-                if head.is_zero():
-                    continue
-                factor = head * inv
-                for j in range(c + 1, nc):
-                    mat[i][j] = mat[i][j] - factor * mat[r][j]
-                mat[i][c] = ctx.element(0)
+                return go(mat, exc.f1) + go(mat, exc.f2)
+            top = mat[r]
+            for row in mat[r + 1:]:
+                if row[c]:
+                    factor = row[c] * inv % f
+                    for j in range(c + 1, nc):
+                        row[j] = row[j] - factor * top[j] % f
+                    row[c] = Poly()
             r += 1
-        return [(modulus, r)]
+        return [(f, r)]
 
-    branches = go(reps, context.modulus)
+    branches = go(reps, check_modulus(modulus))
     return sorted(branches, key=lambda br: (br[0].degree, br[0].coeffs))
 
 

@@ -195,6 +195,41 @@ def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.monic(), u0 * inv, v0 * inv
 
 
+class SplitRequired(Exception):
+    """Raised when inverting a zero divisor mod f: f = f1 * f2, with f1 and
+    f2 monic, coprime and of degree >= 1."""
+
+    def __init__(self, f1: Poly, f2: Poly):
+        super().__init__("zero divisor encountered; modulus splits")
+        self.f1, self.f2 = f1, f2
+
+
+def check_modulus(f: Poly) -> Poly:
+    """f made monic, as a modulus of Q[x]/(f); ValueError unless it has
+    degree >= 1 and is squarefree."""
+    f = f.monic()
+    if f.degree < 1:
+        raise ValueError("modulus must have degree >= 1")
+    if poly_gcd(f, f.derivative()).degree != 0:
+        raise ValueError("modulus must be squarefree")
+    return f
+
+
+def inverse_mod(a: Poly, f: Poly) -> Poly:
+    """The inverse of a in Q[x]/(f), reduced mod f, for a monic squarefree f.
+
+    A zero divisor a exposes the split f = gcd(a, f) * (f / gcd(a, f)) and
+    raises SplitRequired with the two factors.
+    """
+    a = a % f
+    if a.is_zero():
+        raise ZeroDivisionError("inverting zero in every branch")
+    g, u, _ = poly_ext_gcd(a, f)
+    if g.degree > 0:
+        raise SplitRequired(g, f.exact_div(g).monic())
+    return u % f
+
+
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm over the rationals.
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import inf, lcm
 from typing import Optional
 
-from .algebraic import AlgebraicContext
 from .engine import (
     Budget,
     Certificate,
@@ -32,7 +31,7 @@ from .engine import (
 from .graphs import Graph, GraphError, components, diameter, encode_graph6, parse_graph6
 from .matrices import rank_algebraic, rank_rational
 from .pathsearch import PathForestWitness, validate_path_forest
-from .polynomials import Poly, root_multiplicity
+from .polynomials import Poly, check_modulus, root_multiplicity
 
 FORMAT = "murlab-report/1"
 
@@ -230,13 +229,9 @@ def _replay_algebraic_params(g: Graph, data: dict) -> tuple[Optional[int], str]:
         rest.exact_div(branch)
     except ArithmeticError:
         return None, "branch modulus does not divide the Laplacian spectrum"
-    ctx = AlgebraicContext(branch)
-    scalars = []
-    for key in ("beta", "gamma", "delta"):
-        rep = Poly([_rational(c) for c in data[key]])
-        scalars.append(ctx.element(rep))
-    p = ParamPoint(*scalars)
-    branches = rank_algebraic(universal_matrix(g, p), ctx)
+    check_modulus(branch)  # a bad modulus is named before the point is read
+    reps = [Poly([_rational(c) for c in data[key]]) for key in ("beta", "gamma", "delta")]
+    branches = rank_algebraic(universal_matrix(g, ParamPoint(*reps)), branch)
     if any(r != data["rank"] for _, r in branches):
         return None, f"recomputed ranks {[r for _, r in branches]} != {data['rank']}"
     return data["rank"], ""

@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import graphs
-from .algebraic import AlgebraicContext, AlgebraicNumber
 from .engine import (
     Budget,
     ParamPoint,
@@ -23,7 +22,7 @@ from .engine import (
 )
 from .graphs import Graph
 from .matrices import rank_algebraic, rank_rational
-from .polynomials import Poly
+from .polynomials import Poly, inverse_mod
 
 Check = tuple[str, bool, str]
 
@@ -50,14 +49,14 @@ def _exact_check(name: str, g: Graph, want: int) -> Check:
 
 def _branch_check(
     name: str, n: int, modulus: tuple[int, ...],
-    gamma: Callable[[AlgebraicNumber], AlgebraicNumber],
+    gamma: Callable[[Poly, Poly], Poly],
 ) -> Check:
-    """P'n at (beta, gamma, delta) = (-theta, gamma(theta), theta) with theta
-    a root of ``modulus``: rank n - 2 on every branch."""
-    ctx = AlgebraicContext(Poly(modulus))
-    theta = ctx.generator()
-    p = ParamPoint(-theta, gamma(theta), theta)
-    branches = rank_algebraic(universal_matrix(graphs.p_prime(n), p), ctx)
+    """P'n at (beta, gamma, delta) = (-theta, gamma(theta, f), theta) with
+    theta a root of f = ``modulus``: rank n - 2 on every branch."""
+    f = Poly(modulus)
+    theta = Poly.x()
+    p = ParamPoint(-theta, gamma(theta, f), theta)
+    branches = rank_algebraic(universal_matrix(graphs.p_prime(n), p), f)
     msg = "; ".join(f"branch {b!r} rank {r}" for b, r in branches)
     return f"fixture {name}", all(r == n - 2 for _, r in branches), msg
 
@@ -230,9 +229,10 @@ def suite_pprime() -> list[Check]:
     # every branch: delta = theta, beta = -theta over Q[x]/(x^2 - x - 1),
     # and over Q[x]/(x^3 - x^2 - 2x + 1), the minimal polynomial of
     # -2*cos(2*pi/7) and its conjugates.
-    out.append(_branch_check("pprime8-golden", 8, (-1, -1, 1), lambda t: (t * 3 - 5).inverse()))
+    out.append(_branch_check("pprime8-golden", 8, (-1, -1, 1),
+                             lambda t, f: inverse_mod(t * 3 - 5, f)))
     out.append(_branch_check("pprime10-heptagon", 10, (1, -2, -1, 1),
-                             lambda t: -((t * t - t * 5 + 6).inverse())))
+                             lambda t, f: -inverse_mod(t * t - t * 5 + 6, f)))
     m = universal_matrix(graphs.path(3), ParamPoint.rational(1, Fraction(-1, 3), -1))
     r = rank_rational(m)
     pinned = m == PATH3_SHIFT_MATRIX

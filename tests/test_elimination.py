@@ -16,7 +16,7 @@ from murlab import engine, matrices
 from murlab.engine import ParamPoint, _delta_lines, _drop_point, _line_eigenvalues
 from murlab.graphs import cycle
 from murlab.matrices import _back_substitute, _eliminate, det_int, rank_rational, solve_int
-from test_spectrum import atlas7
+from helpers import atlas7
 
 
 def reference_bareiss_pivots(rows: list[list[int]]) -> list[int]:

@@ -43,8 +43,7 @@ from murlab.graphs import (
 )
 from murlab.matrices import charpoly, det_int, rank_rational
 from murlab.polynomials import integer_roots
-from test_matrices import _gauss_jordan
-from test_pathsearch import friendship
+from helpers import _gauss_jordan, friendship, graphs_strategy
 
 # The grid and seeded random points of the old 3-D candidate stream, kept
 # as the reference the delta search is checked against.
@@ -147,14 +146,6 @@ def test_pinned_rational_drops():
     data = res.upper_cert.data
     point = ParamPoint.rational(*(Fraction(data[k]) for k in ("beta", "gamma", "delta")))
     assert rank_rational(universal_matrix(parse_graph6("F?~y?"), point)) == 3
-
-
-def graphs_strategy(max_n=6):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n
-        ).map(lambda pairs: Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
-    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -685,13 +676,3 @@ def test_mur_spread_examples():
         mur_spread(path(5), 9)
     with pytest.raises(EngineError):
         mur_spread(empty(1), 0)
-
-
-def test_mixed_algebraic_contexts_rejected():
-    from murlab.algebraic import AlgebraicContext
-    from murlab.polynomials import Poly
-
-    a = AlgebraicContext(Poly((-2, 0, 1))).generator()
-    b = AlgebraicContext(Poly((-3, 0, 1))).generator()
-    with pytest.raises(EngineError):
-        ParamPoint(a, b, Fraction(0))

@@ -1,8 +1,7 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from murlab.families import family_matches
 from murlab.graphs import (
-    Graph,
     clique_isolated_apex,
     complete,
     cycle,
@@ -11,6 +10,7 @@ from murlab.graphs import (
     path,
     star,
 )
+from helpers import graphs_strategy
 
 
 def kinds(g, complemented=None):
@@ -64,16 +64,8 @@ def test_path_and_cycle():
     assert "path" not in kinds(g, complemented=False)
 
 
-def graphs_strategy(max_n=7):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n
-        ).map(lambda pairs: Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
-    )
-
-
 @settings(max_examples=80)
-@given(graphs_strategy())
+@given(graphs_strategy(7))
 def test_complement_pairing(g):
     direct = {(m.kind, m.complemented) for m in family_matches(g, g.complement())}
     flipped = {

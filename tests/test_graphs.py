@@ -131,6 +131,9 @@ def test_edge_list_parsing():
         parse_edge_list("0 1 2")
     with pytest.raises(GraphError):
         parse_edge_list("0 0")
+    for index in (-1, 64, 10**15):
+        with pytest.raises(GraphError, match=rf"^line 2: vertex index {index} outside 0\.\.63$"):
+            parse_edge_list(f"n=3\n{index} 0\n")
 
 
 def test_induced_subgraph_and_delete():

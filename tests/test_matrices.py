@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from murlab.algebraic import AlgebraicContext
 from murlab.engine import laplacian
 from murlab.graphs import complete
 from murlab.matrices import (
@@ -15,6 +14,7 @@ from murlab.matrices import (
     solve_int,
 )
 from murlab.polynomials import Poly, squarefree_decomposition
+from helpers import _gauss_jordan
 
 
 def transpose(m):
@@ -56,25 +56,33 @@ def test_rank_empty_matrix():
 
 
 def test_rank_algebraic_rational_embedding():
-    ctx = AlgebraicContext(Poly((-1, 1)))
-    m = [[ctx.element(1), ctx.element(2)], [ctx.element(2), ctx.element(4)]]
-    assert rank_algebraic(m, ctx) == [(ctx.modulus, 1)]
+    f = Poly((-1, 1))
+    assert rank_algebraic([[1, 2], [Fraction(2), 4]], f) == [(f, 1)]
 
 
 def test_rank_algebraic_singular_at_root():
-    ctx = AlgebraicContext(Poly((-2, 0, 1)))
-    theta = ctx.generator()
-    m = [[theta, ctx.element(1)], [ctx.element(2), theta]]
-    assert rank_algebraic(m, ctx) == [(ctx.modulus, 1)]
+    f = Poly((-2, 0, 1))
+    theta = Poly.x()
+    assert rank_algebraic([[theta, 1], [2, theta]], f) == [(f, 1)]
 
 
 def test_rank_algebraic_branch_dependent():
     # diag(theta, 1) mod x^2 - x: rank 1 where theta = 0, rank 2 where theta = 1
-    ctx = AlgebraicContext(Poly((0, -1, 1)))
-    theta = ctx.generator()
-    m = [[theta, ctx.element(0)], [ctx.element(0), ctx.element(1)]]
-    branches = dict(rank_algebraic(m, ctx))
+    theta = Poly.x()
+    branches = dict(rank_algebraic([[theta, 0], [0, 1]], Poly((0, -1, 1))))
     assert branches == {Poly((0, 1)): 1, Poly((-1, 1)): 2}
+
+
+def test_rank_algebraic_reduces_entries_on_entry():
+    # theta^2 = 2 mod x^2 - 2, so [[theta^2, 2], [1, 1]] is singular; the
+    # modulus 2x^2 - 4 is made monic first
+    theta = Poly.x()
+    m = [[theta * theta, 2], [1, 1]]
+    assert rank_algebraic(m, Poly((-4, 0, 2))) == [(Poly((-2, 0, 1)), 1)]
+    assert rank_algebraic(m, Poly((-3, 0, 1))) == [(Poly((-3, 0, 1)), 2)]
+    # theta^2 - 2 is zero there, so it is no pivot
+    f = Poly((-2, 0, 1))
+    assert rank_algebraic([[theta * theta - 2, 1], [0, theta]], f) == [(f, 1)]
 
 
 def adjacency(g):
@@ -191,24 +199,6 @@ def test_det_and_solve_int(m, data):
     else:
         y, den = x
         assert [sum(a * yi for a, yi in zip(row, y)) for row in m] == [den * bi for bi in b]
-
-
-def _gauss_jordan(a, b):
-    """x with a x = b by Gauss-Jordan elimination over the rationals; None
-    if a is singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c]), None)
-        if p is None:
-            return None
-        m[c], m[p] = m[p], m[c]
-        m[c] = [x / m[c][c] for x in m[c]]
-        for i in range(n):
-            f = m[i][c]
-            if i != c and f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [row[n] for row in m]
 
 
 @settings(max_examples=100)

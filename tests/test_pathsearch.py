@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from murlab.graphs import Graph, _bits, complete, cycle, diameter, disjoint_union, empty, path
 from murlab.pathsearch import (
@@ -12,6 +12,7 @@ from murlab.pathsearch import (
     best_induced_path_forest,
     validate_path_forest,
 )
+from helpers import friendship, graphs_strategy
 
 
 def brute_best_forest(g):
@@ -59,14 +60,6 @@ def test_budget_exhaustion_is_flagged():
     assert not best_induced_path_forest(path(4), node_budget=8).exact
     assert best_induced_path_forest(cycle(9), node_budget=18).exact
     assert not best_induced_path_forest(cycle(9), node_budget=17).exact
-
-
-def graphs_strategy(max_n=6):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n
-        ).map(lambda pairs: Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
-    )
 
 
 @settings(max_examples=60)
@@ -258,15 +251,6 @@ def assert_same_search(g):
 @given(graphs_strategy(10))
 def test_search_matches_the_reference(g):
     assert_same_search(g)
-
-
-def friendship(k):
-    """k triangles sharing vertex 0."""
-    edges = []
-    for i in range(k):
-        a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
-    return Graph.from_edges(2 * k + 1, edges)
 
 
 def seeded_gnp(n, seed):

@@ -37,7 +37,7 @@ from murlab.graphs import (
 from murlab.matrices import charpoly
 from murlab.polynomials import Poly, root_multiplicity, squarefree_decomposition
 from murlab.report import build_report, replay_report
-from test_pathsearch import graphs_strategy
+from helpers import atlas7, graphs_strategy
 
 
 def reference_laplacian_max_multiplicity(cp: Poly) -> int:
@@ -75,13 +75,6 @@ def assert_multiplicity_serves_each_connected_side(g: Graph):
         if components(side)[0] == 1 and g.n >= 2:
             want = reference_laplacian_max_multiplicity(charpoly(engine.laplacian(side)))
             assert facts.multiplicity == want, side
-
-
-def atlas7():
-    nx = pytest.importorskip("networkx")
-    return [
-        Graph.from_edges(7, list(g.edges())) for g in nx.graph_atlas_g() if g.number_of_nodes() == 7
-    ]
 
 
 def test_multiplicity_on_the_seven_vertex_atlas():
