@@ -4,18 +4,20 @@ Ranks over the rationals and characteristic polynomials are computed over
 the integers, after scaling away the denominators: ranks, determinants and
 solves by one fraction-free (Bareiss) elimination whose every division is
 checked, characteristic polynomials by Berkowitz's division-free recursion.
-Rank over an algebraic extension Q[x]/(f) uses straightforward elimination
-on polynomials in x reduced mod f, splitting f whenever a pivot is a zero
-divisor.
+Rank over an algebraic extension Q[x]/(f) runs the same elimination on
+integer coefficient vectors in a root of a monic integer rescaling of f,
+with each division by a previous pivot checked too.  A pivot that is a zero
+divisor splits f, and each factor's branch goes on from that column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional
 
-from .polynomials import Poly, SplitRequired, check_modulus, inverse_mod
+from .polynomials import Poly, check_modulus, poly_gcd
 
 def dimensions(m) -> tuple[int, int]:
     rows = len(m)
@@ -123,45 +125,100 @@ def rank_rational(m) -> int:
     return len(_eliminate(_integer_rows(m), nc)[0])
 
 
+def _mul_matrix(a: list[int], f: list[int]) -> list[tuple[int, ...]]:
+    """The rows of the multiplication matrix of a in Z[y]/(f), for f monic of
+    degree d and a of length d: column k holds the coefficients of a * y^k
+    mod f, so the matrix times the coefficients of b gives those of a * b."""
+    cols = [a]
+    for _ in range(len(f) - 2):
+        v = cols[-1]
+        cols.append([x - v[-1] * c for x, c in zip([0, *v[:-1]], f)])
+    return list(zip(*cols))
+
+
+def _reduce(v: list[int], f: list[int]) -> list[int]:
+    """The coefficients of v mod a monic integer f, padded to deg f."""
+    v, d = list(v), len(f) - 1
+    for i in range(len(v) - 1, d - 1, -1):
+        for j in range(d):
+            v[i - d + j] -= v[i] * f[j]
+    return v[:d] + [0] * (d - len(v))
+
+
 def rank_algebraic(m, modulus: Poly) -> list[tuple[Poly, int]]:
     """Rank of a matrix over Q[x]/(modulus), branch by branch.
 
     Entries are Polys in x, the class of a root theta of the modulus, or
-    ints and Fractions; each is reduced mod the branch modulus on entry and
-    after every product.  The modulus is made monic and must be squarefree of
+    ints and Fractions.  The modulus is made monic and must be squarefree of
     degree >= 1 (``check_modulus``).  Returns (branch modulus, rank) pairs;
     the branch moduli are pairwise coprime, monic, and multiply back to the
-    modulus.  Elimination restarts on each branch whenever a pivot turns out
-    to be a zero divisor (the D5 principle).
+    modulus.
+
+    The elimination is ``_eliminate``'s, run over Z[eta] with eta = s * theta
+    a root of the monic integer F(y) = s^d modulus(y / s).  A step divides by
+    the previous pivot as a product with its inverse N / D and an exact
+    division by the integer D.  A pivot whose multiplication matrix is
+    singular is a zero divisor: F splits by a gcd (the D5 principle), and
+    each factor goes on from the same column as its own branch.
     """
     nr, nc = dimensions(m)
-    reps = [[e if isinstance(e, Poly) else Poly((e,)) for e in row] for row in m]
+    f = check_modulus(modulus)
+    d = f.degree
+    s = lcm(*(c.denominator for c in f.coeffs))
+    reduced: dict = {}
+    rows = []
+    for row in m:
+        for e in row:
+            if e not in reduced:
+                red = (e if isinstance(e, Poly) else Poly((e,))) % f
+                reduced[e] = [red[i] / s**i for i in range(d)]
+        scale = lcm(*(c.denominator for e in row for c in reduced[e]))
+        rows.append([[c.numerator * (scale // c.denominator) for c in reduced[e]] for e in row])
 
-    def go(rows: list[list[Poly]], f: Poly) -> list[tuple[Poly, int]]:
-        mat = [[e % f for e in row] for row in rows]
-        r = 0
-        for c in range(nc):
+    def go(rows, F: list[int], r: int, c0: int, N: list[int], D: int) -> list:
+        k = len(F) - 1
+        for c in range(c0, nc):
             if r == nr:
                 break
-            p = next((i for i in range(r, nr) if mat[i][c]), None)
+            p = next((i for i in range(r, nr) if any(rows[i][c])), None)
             if p is None:
                 continue
-            mat[r], mat[p] = mat[p], mat[r]
-            try:
-                inv = inverse_mod(mat[r][c], f)
-            except SplitRequired as exc:
-                return go(mat, exc.f1) + go(mat, exc.f2)
-            top = mat[r]
-            for row in mat[r + 1:]:
-                if row[c]:
-                    factor = row[c] * inv % f
-                    for j in range(c + 1, nc):
-                        row[j] = row[j] - factor * top[j] % f
-                    row[c] = Poly()
+            rows[r], rows[p] = rows[p], rows[r]
+            top = rows[r]
+            mul_piv = _mul_matrix(top[c], F)
+            inverse = solve_int(mul_piv, [1] + [0] * (k - 1))
+            if inverse is None:
+                g = poly_gcd(Poly(top[c]), Poly(F))
+                out = []
+                for b in (g, Poly(F).exact_div(g)):
+                    G = [int(x) for x in b.coeffs]  # monic factors of F are integral
+                    out += go([[_reduce(e, G) for e in row] for row in rows], G, r, c,
+                              _reduce(N, G), D)
+                return out
+            # new entry = (piv * a - h * b) * N / D = (piv N) a - h (N b), over D
+            mul_n = _mul_matrix(N, F)
+            piv_n = _mul_matrix([sum(map(mul, t, N)) for t in mul_piv], F)
+            top_n = [[sum(map(mul, t, b)) for t in mul_n] for b in top[c + 1:]]
+            for row in rows[r + 1:]:
+                both = [t + u for t, u in zip(piv_n, _mul_matrix([-x for x in row[c]], F))]
+                for j, b in enumerate(top_n, c + 1):
+                    v, new = row[j] + b, []
+                    for t in both:
+                        q, rem = divmod(sum(map(mul, t, v)), D)
+                        if rem:
+                            raise ArithmeticError("fraction-free elimination step not exact")
+                        new.append(q)
+                    row[j] = new
+                row[c] = [0] * k
+            N, D = inverse
             r += 1
-        return [(f, r)]
+        return [(F, r)]
 
-    branches = go(reps, check_modulus(modulus))
+    F = [int(c * s ** (d - i)) for i, c in enumerate(f.coeffs)]
+    branches = [
+        (Poly(Fraction(c, s ** (len(G) - 1 - i)) for i, c in enumerate(G)), r)
+        for G, r in go(rows, F, 0, 0, [1] + [0] * (d - 1), 1)
+    ]
     return sorted(branches, key=lambda br: (br[0].degree, br[0].coeffs))
 
 

@@ -16,6 +16,7 @@ from .engine import (
     ParamPoint,
     complement_params,
     compute_mur,
+    integer_universal_matrix,
     mur_spread,
     spread_bounds,
     universal_matrix,
@@ -81,8 +82,8 @@ def suite_complements(seed: int = 0, trials: int = 100) -> list[Check]:
         n = rng.randint(1, 6)
         g = _random_graph(rng, n)
         p = _random_point(rng)
-        r1 = rank_rational(universal_matrix(g, p))
-        r2 = rank_rational(universal_matrix(g.complement(), complement_params(g, p)))
+        r1 = rank_rational(integer_universal_matrix(g, p))
+        r2 = rank_rational(integer_universal_matrix(g.complement(), complement_params(g, p)))
         out.append((f"complement transfer #{t} (n={n})", r1 == r2, f"{r1} vs {r2}"))
     return out
 

@@ -16,14 +16,11 @@ import pytest
 from murlab.engine import (
     Budget,
     Certificate,
-    ParamPoint,
-    complement_params,
     compute_mur,
     laplacian,
     minors_combination,
     mur_spread,
     search_lines,
-    spread_bounds,
     universal_matrix,
 )
 from murlab.graphs import (

@@ -1,8 +1,8 @@
 """The package has no runtime dependencies: it imports only the standard
 library and itself (numpy, sympy and networkx may be installed, but a
 user's environment need not have them).  Nor does it carry code that only
-its tests reach, or imports it does not use, or asserts that ``python -O``
-would strip."""
+its tests reach, or imports it does not use (nor do its tests), or asserts
+that ``python -O`` would strip."""
 
 import ast
 import sys
@@ -29,9 +29,11 @@ def test_imports_are_standard_library_or_murlab():
 
 def test_every_import_is_used():
     # An imported name is used where it appears as a name in the importing
-    # module; the package's __init__ re-exports names through __all__.
+    # module; the package's __init__ re-exports names through __all__.  The
+    # test modules are held to the same rule.
     unused = []
-    for path in sorted(Path(murlab.__file__).parent.glob("*.py")):
+    package = sorted(Path(murlab.__file__).parent.glob("*.py"))
+    for path in package + sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         exported = set()
@@ -47,8 +49,8 @@ def test_every_import_is_used():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used and name not in exported:
-                        unused.append(f"{path.name}:{node.lineno} {name}")
-    assert not unused, f"imported under src/murlab/ but never used there: {unused}"
+                        unused.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
+    assert not unused, f"imported but never used in the importing module: {unused}"
 
 
 def test_every_export_resolves_once():
