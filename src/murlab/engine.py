@@ -808,8 +808,7 @@ def _clique_lines(degrees: Iterable[int]) -> Iterator[Fraction]:
 
 def _delta_lines(g: Graph) -> list[Fraction]:
     """The delta values searched, each once: 0 and +-1, the clique lines of
-    g's degrees, -1/(2k) for k <= n/2 (the near-path families), then the
-    clique lines of the complement's degrees n-1-d.
+    g's degrees, then the clique lines of the complement's degrees n-1-d.
 
     ``complement_params`` keeps delta, so a line that lowers the rank of the
     complement lowers that of g by as much; g and its complement get the
@@ -819,7 +818,6 @@ def _delta_lines(g: Graph) -> list[Fraction]:
     deltas = [
         Fraction(0), Fraction(-1), Fraction(1),
         *_clique_lines(degrees),
-        *(Fraction(-1, 2 * k) for k in range(1, n // 2 + 1)),
         *_clique_lines(n - 1 - d for d in degrees),
     ]
     return list(dict.fromkeys(deltas))
@@ -883,56 +881,31 @@ def search_lines(g: Graph, lower: int, upper: int, cert: Certificate) -> tuple[i
     return upper, cert
 
 
-def algebraic_eigen_candidates(g: Graph) -> Iterator[tuple[Poly, ParamPoint]]:
-    """Laplacian-shift points at irrational eigenvalues, one per squarefree factor.
-
-    Every root of each factor is a genuine (real) Laplacian eigenvalue, so the
-    rank at any branch of such a point is a valid upper bound.  These points
-    are not part of the bounds pipeline (they never went below the delta
-    search); they build the algebraic ``explicit_params`` certificates of
-    replay data and tests.
-    """
-    n = g.n
-    if n == 0:
-        return
-    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly, Fraction(0))
-    if rest.degree < 1:
-        return
-    for factor, _ in squarefree_decomposition(rest):
-        if factor.degree < 2:
-            continue
-        theta = Poly.x()
-        yield factor, ParamPoint(theta, theta * Fraction(-1, n), Poly((-1,)))
-
-
-def _alg_param_cert(modulus: Poly, branch: Poly, p: ParamPoint, rank: int) -> Certificate:
-    def coeffs(s: Poly) -> list[str]:
-        return [str(c) for c in s.coeffs]
-
-    return Certificate(
-        "explicit_params",
-        {
-            "modulus": coeffs(modulus),
-            "branch": coeffs(branch),
-            "beta": coeffs(p.beta),
-            "gamma": coeffs(p.gamma),
-            "delta": coeffs(p.delta),
-            "rank": rank,
-            "source": "laplacian_eigenvalue",
-        },
-    )
-
-
 def _refine_algebraic(g, lower, upper, ucert):
     """The lowest rank below ``upper`` at an irrational Laplacian-shift
     point, stopping at ``lower``, with its algebraic certificate; for replay
-    data and tests, not the bounds pipeline."""
-    for factor, p in algebraic_eigen_candidates(g):
+    data and tests, not the bounds pipeline.
+
+    There is one point per squarefree factor f of degree >= 2 of the
+    Laplacian spectrum: (beta, gamma, delta) = (theta, -theta/n, -1) with
+    theta a root of f.  Every root of f is a real Laplacian eigenvalue, so
+    the rank on each branch is a valid upper bound.
+    """
+    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly, Fraction(0))
+    theta = Poly.x()
+    for factor, _ in squarefree_decomposition(rest):
         if upper <= lower:
             break
+        if factor.degree < 2:
+            continue
+        p = ParamPoint(theta, theta * Fraction(-1, g.n), Poly((-1,)))
         for branch, r in rank_algebraic(universal_matrix(g, p), factor):
             if r < upper:
-                upper, ucert = r, _alg_param_cert(factor, branch, p, r)
+                polys = {"modulus": factor, "branch": branch,
+                         "beta": p.beta, "gamma": p.gamma, "delta": p.delta}
+                data = {key: [str(c) for c in s.coeffs] for key, s in polys.items()}
+                data.update(rank=r, source="laplacian_eigenvalue")
+                upper, ucert = r, Certificate("explicit_params", data)
     return upper, ucert
 
 

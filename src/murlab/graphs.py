@@ -221,8 +221,8 @@ def parse_edge_list(text: str) -> Graph:
                     raise GraphError(f"line {lineno}: vertex index {x} outside 0..{MAX_VERTICES - 1}")
             edges.append((u, v))
             top = max(top, u, v)
-        elif count < 0:
-            raise GraphError(f"line {lineno}: negative vertex count {count}")
+        elif not 0 <= count <= MAX_VERTICES:
+            raise GraphError(f"line {lineno}: vertex count {count} outside 0..{MAX_VERTICES}")
         else:
             top = max(top, count - 1)
     return Graph.from_edges(top + 1, edges)

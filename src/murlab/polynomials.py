@@ -77,9 +77,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-self._as_poly(other))
 
-    def __rsub__(self, other) -> "Poly":
-        return self._as_poly(other) - self
-
     def __mul__(self, other) -> "Poly":
         other = self._as_poly(other)
         if not self.coeffs or not other.coeffs:
@@ -91,8 +88,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self.coeffs):
@@ -118,9 +113,6 @@ class Poly:
                 rem[i + j] -= c * b
         return Poly(quot), Poly(rem[:d])
 
-    def __floordiv__(self, other) -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
 
@@ -140,12 +132,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly((i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def __call__(self, value):
-        acc = Fraction(0) if isinstance(value, (int, Fraction)) else value * 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
     @staticmethod
     def _as_poly(other) -> "Poly":
@@ -178,32 +164,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = Poly((1,)), Poly()
-    v0, v1 = Poly(), Poly((1,))
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead = r0.leading()
-    inv = 1 / lead
-    return r0.monic(), u0 * inv, v0 * inv
-
-
-class SplitRequired(Exception):
-    """Raised when inverting a zero divisor mod f: f = f1 * f2, with f1 and
-    f2 monic, coprime and of degree >= 1."""
-
-    def __init__(self, f1: Poly, f2: Poly):
-        super().__init__("zero divisor encountered; modulus splits")
-        self.f1, self.f2 = f1, f2
-
-
 def check_modulus(f: Poly) -> Poly:
     """f made monic, as a modulus of Q[x]/(f); ValueError unless it has
     degree >= 1 and is squarefree."""
@@ -213,21 +173,6 @@ def check_modulus(f: Poly) -> Poly:
     if poly_gcd(f, f.derivative()).degree != 0:
         raise ValueError("modulus must be squarefree")
     return f
-
-
-def inverse_mod(a: Poly, f: Poly) -> Poly:
-    """The inverse of a in Q[x]/(f), reduced mod f, for a monic squarefree f.
-
-    A zero divisor a exposes the split f = gcd(a, f) * (f / gcd(a, f)) and
-    raises SplitRequired with the two factors.
-    """
-    a = a % f
-    if a.is_zero():
-        raise ZeroDivisionError("inverting zero in every branch")
-    g, u, _ = poly_ext_gcd(a, f)
-    if g.degree > 0:
-        raise SplitRequired(g, f.exact_div(g).monic())
-    return u % f
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:

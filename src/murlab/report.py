@@ -368,5 +368,15 @@ def replay_report(doc: dict) -> list[ReplayCheck]:
             sp["lower"] == lower - dres["upper"]
             and sp["upper"] == upper - dres["lower"]
         )
-        checks.append(ReplayCheck("spread arithmetic", arith))
+        # The interval is mur(G) - mur(G - v) only if the deleted graph is G - v.
+        v = sp.get("vertex")
+        if not (type(v) is int and 0 <= v < g.n):
+            problem = f"vertex {v!r} outside 0..{g.n - 1}"
+        elif parse_graph6(sp["deleted"]["graph"]["graph6"]) != g.delete_vertex(v):
+            problem = f"the deleted graph is not the graph minus vertex {v}"
+        elif sp.get("exact") != (sp["lower"] == sp["upper"]):
+            problem = f"exact flag {sp.get('exact')!r} for [{sp['lower']}, {sp['upper']}]"
+        else:
+            problem = ""
+        checks.append(ReplayCheck("spread arithmetic", arith and not problem, problem))
     return checks

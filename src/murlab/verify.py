@@ -23,7 +23,7 @@ from .engine import (
 )
 from .graphs import Graph
 from .matrices import rank_algebraic, rank_rational
-from .polynomials import Poly, inverse_mod
+from .polynomials import Poly
 
 Check = tuple[str, bool, str]
 
@@ -48,15 +48,13 @@ def _exact_check(name: str, g: Graph, want: int) -> Check:
     return name, ok, f"got [{res.lower}, {res.upper}], want {want}"
 
 
-def _branch_check(
-    name: str, n: int, modulus: tuple[int, ...],
-    gamma: Callable[[Poly, Poly], Poly],
-) -> Check:
-    """P'n at (beta, gamma, delta) = (-theta, gamma(theta, f), theta) with
-    theta a root of f = ``modulus``: rank n - 2 on every branch."""
+def _branch_check(name: str, n: int, modulus: tuple[int, ...], gamma: tuple) -> Check:
+    """P'n at (beta, gamma, delta) = (-theta, gamma, theta) with theta a root
+    of f = ``modulus`` and gamma given by its coefficients in theta: rank
+    n - 2 on every branch."""
     f = Poly(modulus)
     theta = Poly.x()
-    p = ParamPoint(-theta, gamma(theta, f), theta)
+    p = ParamPoint(-theta, Poly(gamma), theta)
     branches = rank_algebraic(universal_matrix(graphs.p_prime(n), p), f)
     msg = "; ".join(f"branch {b!r} rank {r}" for b, r in branches)
     return f"fixture {name}", all(r == n - 2 for _, r in branches), msg
@@ -229,11 +227,12 @@ def suite_pprime() -> list[Check]:
     # P'8 and P'10 reach rank n - 2 only at irrational points, checked on
     # every branch: delta = theta, beta = -theta over Q[x]/(x^2 - x - 1),
     # and over Q[x]/(x^3 - x^2 - 2x + 1), the minimal polynomial of
-    # -2*cos(2*pi/7) and its conjugates.
-    out.append(_branch_check("pprime8-golden", 8, (-1, -1, 1),
-                             lambda t, f: inverse_mod(t * 3 - 5, f)))
+    # -2*cos(2*pi/7) and its conjugates.  gamma is (3 theta - 5)^-1 =
+    # -2 - 3 theta on the first and -(theta^2 - 5 theta + 6)^-1 =
+    # (4 - 11 theta - 12 theta^2) / 13 on the second.
+    out.append(_branch_check("pprime8-golden", 8, (-1, -1, 1), (-2, -3)))
     out.append(_branch_check("pprime10-heptagon", 10, (1, -2, -1, 1),
-                             lambda t, f: -inverse_mod(t * t - t * 5 + 6, f)))
+                             (Fraction(4, 13), Fraction(-11, 13), Fraction(-12, 13))))
     m = universal_matrix(graphs.path(3), ParamPoint.rational(1, Fraction(-1, 3), -1))
     r = rank_rational(m)
     pinned = m == PATH3_SHIFT_MATRIX

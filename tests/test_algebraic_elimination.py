@@ -2,7 +2,7 @@
 vectors.
 
 The polynomial elimination it replaced is kept here verbatim as the
-reference.
+reference, and its inversion by extended Euclid in ``helpers``.
 """
 
 import inspect
@@ -12,11 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import SplitRequired, inverse_mod
 from murlab import matrices
-from murlab.engine import algebraic_eigen_candidates, universal_matrix
+from murlab.engine import ParamPoint, graph_facts, universal_matrix
 from murlab.graphs import p_prime
 from murlab.matrices import dimensions, rank_algebraic, rank_rational
-from murlab.polynomials import Poly, SplitRequired, check_modulus, inverse_mod
+from murlab.polynomials import Poly, check_modulus, root_multiplicity, squarefree_decomposition
 
 X = Poly.x()
 
@@ -97,7 +98,7 @@ def matrices_over(draw, factors):
     if nr >= 2 and draw(st.booleans()):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=nr - 1, max_size=nr - 1))
         m[draw(st.integers(0, nr - 1))] = [
-            sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(nc)
+            sum(row[j] * c for c, row in zip(coeffs, m)) for j in range(nc)
         ]
     return m
 
@@ -130,11 +131,20 @@ def test_monic_modulus_with_fractions():
     assert rank_algebraic(m, g) == reference_rank_algebraic(m, g) == [(g, 2)]
 
 
+def laplacian_points(g):
+    """(f, point) for each squarefree factor f of degree >= 2 of g's
+    Laplacian spectrum: the points ``_refine_algebraic`` ranks."""
+    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly, 0)
+    for f, _ in squarefree_decomposition(rest):
+        if f.degree >= 2:
+            yield f, ParamPoint(X, X * Fraction(-1, g.n), Poly((-1,)))
+
+
 def test_every_p_prime_laplacian_point_matches_the_reference():
     tried = 0
     for n in range(4, 13):
         g = p_prime(n)
-        for f, p in algebraic_eigen_candidates(g):
+        for f, p in laplacian_points(g):
             m = universal_matrix(g, p)
             want = reference_rank_algebraic(m, f)
             assert rank_algebraic(m, f) == want
@@ -149,8 +159,8 @@ def test_a_linear_modulus_ranks_the_matrix_at_its_root(a, nr, nc, data):
     # Q[x]/(x - a) is Q with theta = a, so the rank is rank_rational's there
     entries = st.one_of(st.integers(-3, 3), small, st.lists(small, max_size=3).map(Poly))
     m = data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
-    at_a = [[e(a) if isinstance(e, Poly) else e for e in row] for row in m]
     f = Poly.x_minus(a)
+    at_a = [[(e % f)[0] if isinstance(e, Poly) else e for e in row] for row in m]
     assert rank_algebraic(m, f) == [(f, rank_rational(at_a))]
 
 

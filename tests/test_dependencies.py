@@ -5,6 +5,7 @@ its tests reach, or imports it does not use (nor do its tests), or asserts
 that ``python -O`` would strip."""
 
 import ast
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -70,6 +71,29 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements under src/murlab/: {found}"
+
+
+def test_benchmark_imports_resolve():
+    # The benchmark under perfbench/ imports package names, private ones
+    # included, some inside functions; a cleanup that removes one would break
+    # the benchmark while every other test passes.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    checked, missing = [], []
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "murlab"):
+                continue
+            for alias in node.names:
+                where = f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                checked.append(where)
+                try:
+                    module = importlib.import_module(node.module)
+                    if not hasattr(module, alias.name):
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                except ImportError:
+                    missing.append(where)
+    assert checked and not missing, f"perfbench/ imports names the package lacks: {missing}"
 
 
 # Defined under src/murlab/ but named only outside it.

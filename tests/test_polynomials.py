@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from murlab.polynomials import (
     Poly,
     integer_roots,
-    poly_ext_gcd,
     poly_gcd,
     root_multiplicity,
     squarefree_decomposition,
@@ -98,17 +97,6 @@ def test_divmod_identity(a, b):
     q, r = divmod(pa, pb)
     assert q * pb + r == pa
     assert r.degree < pb.degree
-
-
-@given(coeffs, coeffs)
-def test_ext_gcd_identity(a, b):
-    pa, pb = Poly(a), Poly(b)
-    g, u, v = poly_ext_gcd(pa, pb)
-    assert u * pa + v * pb == g
-    if not g.is_zero():
-        assert g.leading() == 1
-        pa.exact_div(g)
-        pb.exact_div(g)
 
 
 @given(

@@ -9,10 +9,11 @@ bounds must still hold for the known value.
 import copy
 from functools import cache
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from murlab.engine import Budget, Certificate, MurResult, compute_mur, mur_spread
-from murlab.graphs import complete_bipartite, cycle, p_prime, path, petersen
+from murlab.engine import Budget, Certificate, MurResult, compute_mur, mur_lower, mur_spread
+from murlab.graphs import complete, complete_bipartite, cycle, disjoint_union, p_prime, path, petersen
 from murlab.report import ReportError, build_report, replay_report
 
 
@@ -25,13 +26,15 @@ KNOWN = [
     (petersen(), 4),
 ]
 MUR_P5 = 3
+TINY = Budget(search_nodes=1)
 
 
 @cache
 def genuine_reports():
     """(whole mur, deleted-graph mur or None, report) for each known graph:
-    with and without the family formulas, with weakened intervals, and P6
-    with a spread at vertex 0."""
+    with and without the family formulas, with weakened intervals, with the
+    structural lower bound of a one-node search, and P6 with a spread at
+    vertex 0."""
     docs = []
     for g, mur in KNOWN:
         for use_families in (True, False):
@@ -45,6 +48,13 @@ def genuine_reports():
             MurResult(res.lower, res.lower_cert, g.n - 2, Certificate("order_bound", {})),
         ):
             docs.append((mur, None, build_report(g, weak, Budget(), 0.1)))
+        # At one search node the diameter and family-membership bounds beat
+        # the path forest.
+        lower, lcert, _ = mur_lower(g, TINY)
+        structural = MurResult(lower, lcert, res.upper, res.upper_cert)
+        docs.append((mur, None, build_report(g, structural, TINY, 0.1)))
+    kinds = {doc["lower_certificate"]["kind"] for _, _, doc in docs}
+    assert {"diameter", "not_in_rank01_families"} <= kinds
     g = path(6)
     spread = mur_spread(g, 0)
     docs.append((4, MUR_P5, build_report(g, spread.whole, Budget(), 0.1, spread)))
@@ -83,7 +93,7 @@ def claimed_results(doc, mur, deleted_mur):
 
 def check_replay(doc, mur, deleted_mur):
     """Replay raises nothing but ReportError, and a document whose checks
-    all pass claims bounds that hold."""
+    all pass claims bounds that hold, for the spread too."""
     try:
         checks = replay_report(doc)
     except ReportError:
@@ -91,6 +101,8 @@ def check_replay(doc, mur, deleted_mur):
     if all(c.ok for c in checks):
         for result, value in claimed_results(doc, mur, deleted_mur):
             assert result["lower"] <= value <= result["upper"]
+        if deleted_mur is not None and "spread" in doc:
+            assert doc["spread"]["lower"] <= mur - deleted_mur <= doc["spread"]["upper"]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -116,3 +128,47 @@ def test_replay_sound_under_every_shifted_bound():
                     result, _ = claimed_results(doc, mur, deleted_mur)[i]
                     result[bound] += shift
                     check_replay(doc, mur, deleted_mur)
+
+
+def failed(doc):
+    """(name, message) of each failed check."""
+    return [(c.name, c.message) for c in replay_report(doc) if not c.ok]
+
+
+@pytest.mark.parametrize("forgery", ["K4 deleted", "vertex 99", "no vertex", "exact flipped"])
+def test_replay_fails_a_forged_spread(forgery):
+    mur, deleted_mur, genuine = next(r for r in genuine_reports() if r[1] is not None)
+    doc = copy.deepcopy(genuine)
+    sp = doc["spread"]
+    if forgery == "K4 deleted":
+        # K4's genuine report for P5's, with the spread arithmetic redone
+        sp["deleted"] = build_report(complete(4), compute_mur(complete(4)), Budget(), 0.1)
+        sp["lower"] = doc["result"]["lower"] - sp["deleted"]["result"]["upper"]
+        sp["upper"] = doc["result"]["upper"] - sp["deleted"]["result"]["lower"]
+        sp["exact"] = sp["lower"] == sp["upper"]
+        assert sp["lower"] > mur - deleted_mur
+    elif forgery == "vertex 99":
+        sp["vertex"] = 99
+    elif forgery == "no vertex":
+        del sp["vertex"]
+    else:
+        sp["exact"] = not sp["exact"]
+    [(name, message)] = failed(doc)
+    assert name == "spread arithmetic" and message
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_replay_fails_a_diameter_off_by_one(shift):
+    g = complete_bipartite(2, 3)  # diameter 2, mur 1
+    lower, cert, _ = mur_lower(g, TINY)
+    assert cert.kind == "diameter" and lower == 1
+    forged = Certificate("diameter", {**cert.data, "diameter": 2 + shift})
+    doc = build_report(g, MurResult(1 + shift, forged, 3, Certificate("order_bound")), TINY, 0.1)
+    assert failed(doc) == [("lower certificate", f"recomputed diameter 2 != {2 + shift}")]
+
+
+@pytest.mark.parametrize("g", [disjoint_union([complete(2), complete(3)]), complete_bipartite(2, 3)])
+def test_replay_fails_bound_two_on_a_rank_one_family(g):
+    forged = Certificate("not_in_rank01_families", {"bound": 2})
+    doc = build_report(g, MurResult(2, forged, 3, Certificate("order_bound")), TINY, 0.1)
+    assert failed(doc) == [("lower certificate", "graph is in a rank-1 family")]

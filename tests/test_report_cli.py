@@ -319,7 +319,7 @@ def test_cli_mur_bad_input(capsys):
 
 @pytest.mark.parametrize(
     "text, line",
-    [("0 1\na b\n", 2), ("n=x\n0 1\n", 1), ("n=-3\n", 1),
+    [("0 1\na b\n", 2), ("n=x\n0 1\n", 1), ("n=-3\n", 1), ("0 1\nn=65\n", 2),
      ("0 -1\n", 1), ("0 64\n", 1), ("0 1000000000000000\n", 1)],
 )
 def test_cli_mur_edge_list_with_a_bad_token(tmp_path, capsys, text, line):
@@ -337,7 +337,7 @@ def test_cli_mur_edge_list_with_too_many_vertices(tmp_path, capsys, text, n):
     f.write_text(text)
     code, out, err = run_cli(capsys, "mur", str(f))
     assert code == EXIT_USAGE and not out
-    assert err == f"error: vertex count {n} outside 0..64\n"
+    assert err == f"error: line 1: vertex count {n} outside 0..64\n"
 
 
 def test_cli_mur_directory(tmp_path, capsys):
