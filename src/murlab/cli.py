@@ -26,8 +26,18 @@ def _budget_from_args(args) -> Budget:
     return Budget(search_nodes=args.budget)
 
 
+def _node_count(text: str) -> int:
+    """The ``--budget`` value: an integer >= 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a node count: {text!r}")
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=Budget.search_nodes,
+    p.add_argument("--budget", type=_node_count, default=Budget.search_nodes,
                    help="search node budget for the induced-path searches (default %(default)s)")
 
 

@@ -4,7 +4,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from murlab.graphs import Graph, _bits, complete, cycle, diameter, disjoint_union, empty, path
+from murlab.graphs import (
+    Graph,
+    _bits,
+    complete,
+    complete_bipartite,
+    cycle,
+    diameter,
+    disjoint_union,
+    empty,
+    path,
+)
 from murlab.pathsearch import (
     DEFAULT_NODE_BUDGET,
     PathForestResult,
@@ -12,6 +22,7 @@ from murlab.pathsearch import (
     best_induced_path_forest,
     validate_path_forest,
 )
+from murlab.verify import family_checks
 from helpers import friendship, graphs_strategy
 
 
@@ -95,14 +106,25 @@ def test_witness_validation_rejects_garbage():
 
 # The search as it was before it kept the forest's ends incrementally: a
 # component walk scores each leaf and checks each two-neighbour join for a
-# cycle.  Kept as the reference: the incremental search must give the same
-# node counts, hence the same witness at every budget.  It also returns the
-# nodes it visited.
+# cycle.  Kept as the reference: with ``twins=True`` it skips a vertex's
+# include branch once an earlier twin is excluded, the twins found by
+# comparing neighbour sets, and the incremental search must give the same
+# node counts, hence the same witness at every budget.  With ``twins=False``
+# it is the search before the twin rule.  It also returns the nodes it
+# visited.
 def reference_best_induced_path_forest(
-    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET, twins: bool = True
 ) -> tuple[PathForestResult, int]:
     """Maximize the path-forest lower bound over induced linear forests."""
     n = g.n
+    open_nbhd = [set(_bits(g.rows[v])) for v in range(n)]
+    closed_nbhd = [open_nbhd[v] | {v} for v in range(n)]
+    earlier_twins = [
+        [t for t in range(v) if open_nbhd[t] == open_nbhd[v] or closed_nbhd[t] == closed_nbhd[v]]
+        if twins
+        else []
+        for v in range(n)
+    ]
     best_bound = -1
     best_mask = 0
     budget = node_budget
@@ -166,7 +188,9 @@ def reference_best_induced_path_forest(
         nbrs = g.rows[idx] & mask
         ok = True
         nb_list = _bits(nbrs)
-        if len(nb_list) > 2:
+        if any(not mask >> t & 1 for t in earlier_twins[idx]):
+            ok = False  # an excluded twin stands in for idx
+        elif len(nb_list) > 2:
             ok = False
         elif any(deg[u] >= 2 for u in nb_list):
             ok = False
@@ -227,24 +251,39 @@ def reference_mask_to_witness(g: Graph, mask: int) -> PathForestWitness:
 BUDGETS = [0, 1, 3, 17, 200, 5000, DEFAULT_NODE_BUDGET]
 
 
+def _triple(res):
+    w = res.witness
+    return None if w is None else (w.paths, w.isolated, w.bound)
+
+
+def _score(res):
+    return -1 if res.witness is None else res.witness.bound
+
+
 def assert_same_search(g):
     # nodes: those of a complete search, or more than any budget tried
     complete, nodes = reference_best_induced_path_forest(g, DEFAULT_NODE_BUDGET + 1)
+    plain, plain_nodes = reference_best_induced_path_forest(g, DEFAULT_NODE_BUDGET + 1, twins=False)
+    assert nodes <= plain_nodes
     if nodes <= DEFAULT_NODE_BUDGET:
         assert not best_induced_path_forest(g, nodes - 1).exact
         assert best_induced_path_forest(g, nodes).exact
+    if plain_nodes <= DEFAULT_NODE_BUDGET:
+        # the twin rule keeps the witness of a complete search
+        assert _triple(complete) == _triple(plain)
     for budget in BUDGETS:
         got = best_induced_path_forest(g, budget)
         want = complete if budget >= nodes else reference_best_induced_path_forest(g, budget)[0]
         assert got.exact == (budget >= nodes), budget
-        if want.witness is None:
-            assert got.witness is None, budget
-        else:
-            assert (got.witness.paths, got.witness.isolated, got.witness.bound) == (
-                want.witness.paths,
-                want.witness.isolated,
-                want.witness.bound,
-            ), budget
+        assert _triple(got) == _triple(want), budget
+        # and a cut search never ends below the search without the rule
+        before = (
+            plain
+            if budget >= plain_nodes
+            else reference_best_induced_path_forest(g, budget, twins=False)[0]
+        )
+        assert _score(got) >= _score(before), budget
+        assert got.exact or not before.exact, budget
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,3 +305,36 @@ def seeded_gnp(n, seed):
 )
 def test_search_matches_the_reference_on_larger_graphs(g):
     assert_same_search(g)
+
+
+FAMILY = family_checks()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [g for _, g, _ in FAMILY] + [g.complement() for _, g, _ in FAMILY],
+    ids=[name for name, _, _ in FAMILY] + [f"({name})c" for name, _, _ in FAMILY],
+)
+def test_search_matches_the_reference_on_family_graphs(g):
+    assert_same_search(g)
+
+
+# Nodes of a complete search, by the probe of test_budget_exhaustion_is_flagged.
+# Without the twin rule they were 3873, 3719, 11101, 53402 and 1124; P12 and
+# C12, which have no twins, stay at 25 and 24.
+@pytest.mark.parametrize(
+    "g, nodes",
+    [
+        (disjoint_union([complete(2)] * 4 + [complete(4)]), 750),
+        (disjoint_union([complete(3)] * 4), 209),
+        (disjoint_union([cycle(3)] * 2 + [cycle(4)] * 2), 696),
+        (friendship(8), 7894),
+        (complete_bipartite(6, 6), 98),
+        (path(12), 25),
+        (cycle(12), 24),
+    ],
+    ids=["4K2uK4", "4K3", "2C3u2C4", "F8", "K6,6", "P12", "C12"],
+)
+def test_twins_are_searched_once(g, nodes):
+    assert best_induced_path_forest(g, nodes).exact
+    assert not best_induced_path_forest(g, nodes - 1).exact

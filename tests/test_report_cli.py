@@ -312,6 +312,21 @@ def test_cli_search_flags_are_gone(capsys, flag):
         assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["-5", "-1", "x"])
+def test_cli_rejects_a_bad_budget(capsys, value):
+    for command in (["mur", "Dhc", "--json"], ["batch", "graphs.g6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--budget", value])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument --budget: not a node count: '{value}'" in err
+
+
+def test_cli_budget_zero_searches_nothing(capsys):
+    code, out, _ = run_cli(capsys, "mur", "Dhc", "--json", "--budget", "0")
+    assert code == EXIT_OK and json.loads(out)["budget"]["search_nodes"] == 0
+
+
 def test_cli_mur_bad_input(capsys):
     code, _, err = run_cli(capsys, "mur", "B\x07")
     assert code == EXIT_USAGE and "error" in err
