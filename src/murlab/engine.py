@@ -18,7 +18,7 @@ from math import factorial, inf, lcm
 from operator import add, itemgetter, mod, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .families import FamilyMatch, family_matches
+from .families import family_matches
 from .graphs import Graph, components, diameter
 from .matrices import (
     _back_substitute, _eliminate, charpoly, det_int, rank_algebraic, rank_rational, solve_int,
@@ -28,7 +28,7 @@ from .pathsearch import (
     PathForestResult,
     best_induced_path_forest,
 )
-from .polynomials import Poly, integer_roots, root_multiplicity, squarefree_decomposition
+from .polynomials import Poly, integer_roots, squarefree_decomposition
 
 Scalar = Union[Fraction, Poly]
 
@@ -90,31 +90,51 @@ def complement_params(g: Graph, p: ParamPoint) -> ParamPoint:
     )
 
 
+# Family kinds by their place in the order ``family_mur`` tries them.  The
+# kinds of place 0 and 1 are the rank-0 and rank-1 families: a graph has
+# mur 0 (or 1) exactly when it matches a kind of that place.
+_FAMILY_PLACE = {
+    "complete": 0, "empty": 0, "two_cliques": 1, "clique_plus_isolated": 1,
+    "union_of_cliques": 2, "clique_isolated_apex": 3, "regular": 4, "path": 5,
+}
+
+
 class GraphFacts:
     """Facts about one graph that several bound stages read.
 
-    The complement and the family matches are built on construction; the
-    Laplacian characteristic polynomial, and the multiplicity read from it,
-    on first use.
+    The complement and the family matches, in the order of their kinds'
+    places, are built on construction; the split Laplacian characteristic
+    polynomial, and the multiplicity read from it, on first use.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self.complement = g.complement()
-        self.matches = family_matches(g, self.complement)
+        self.matches = sorted(
+            family_matches(g, self.complement), key=lambda m: _FAMILY_PLACE[m.kind]
+        )
 
     def side(self, on_complement: bool) -> Graph:
         return self.complement if on_complement else self.graph
 
+    @property
+    def rank01_floor(self) -> int:
+        """The least mur(G) can be: 0 or 1 in a rank-0 or rank-1 family, else 2."""
+        return min([2, *(_FAMILY_PLACE[m.kind] for m in self.matches)])
+
     @cached_property
-    def laplacian_charpoly(self) -> Poly:
-        return charpoly(laplacian(self.graph))
+    def laplacian_split(self) -> tuple[int, Poly]:
+        """(c, q) with charpoly(L(G)) = x**c * q and q(0) != 0; c is the
+        number of components of G, the multiplicity of the eigenvalue 0."""
+        coeffs = charpoly(laplacian(self.graph)).coeffs
+        c = next(i for i, a in enumerate(coeffs) if a)
+        return c, Poly(coeffs[c:])
 
     @cached_property
     def multiplicity(self) -> int:
-        """M, the largest exponent in the squarefree decomposition of
-        charpoly(L(G))/x: the largest multiplicity of an eigenvalue of L(G)
-        on the vectors orthogonal to the all-ones vector 1; n >= 1.
+        """M = max(c - 1, the largest exponent in the squarefree decomposition
+        of q) for ``laplacian_split`` (c, q): the largest multiplicity of an
+        eigenvalue of L(G) on the vectors orthogonal to the all-ones vector 1.
 
         L(G) commutes with J and L(complement) = nI - J - L(G), so on 1-perp
         the eigenvalues of L(complement) are n - lambda for those lambda of
@@ -123,8 +143,8 @@ class GraphFacts:
         multiplicity of a nonzero Laplacian eigenvalue of each connected
         side, the graph or its complement.
         """
-        rest = self.laplacian_charpoly.exact_div(Poly.x_minus(0))
-        return max((e for _, e in squarefree_decomposition(rest)), default=0)
+        c, q = self.laplacian_split
+        return max([c - 1, *(e for _, e in squarefree_decomposition(q))])
 
 
 @lru_cache(maxsize=1)
@@ -257,6 +277,10 @@ def mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certifica
     It takes the best of the path-forest, diameter and family-membership
     bounds on both sides.  ``compute_mur`` may raise it further with a
     minors combination, so its ``lower`` is the best certified lower bound.
+
+    A side's diameter d is read only if its search was cut: a shortest path
+    of length d is an induced P_(d+1), of bound d - 1, so an exhaustive
+    search, listed first, reaches at least that.
     """
     n = g.n
     if n == 0:
@@ -267,16 +291,16 @@ def mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certifica
     for comp_side in (False, True):
         side = facts.side(comp_side)
         res = best_induced_path_forest(side, budget.search_nodes)
-        exhausted = exhausted or not res.exact
         if res.witness is not None:
             bounds.append((res.witness.bound, _forest_certificate(res, comp_side)))
-        d = diameter(side)
-        if d != inf and d >= 2:
-            cert = Certificate("diameter", {"diameter": int(d), "on_complement": comp_side})
-            bounds.append((int(d) - 1, cert))
-    kinds = {m.kind for m in facts.matches}
-    if not kinds & {"complete", "empty"}:  # outside the rank-0 families
-        value = 1 if kinds & {"two_cliques", "clique_plus_isolated"} else 2
+        if not res.exact:
+            exhausted = True
+            d = diameter(side)
+            if d != inf and d >= 2:
+                cert = Certificate("diameter", {"diameter": int(d), "on_complement": comp_side})
+                bounds.append((int(d) - 1, cert))
+    value = facts.rank01_floor
+    if value:  # outside the rank-0 families
         bounds.append((value, Certificate("not_in_rank01_families", {"bound": value})))
     best, cert = max(bounds, key=lambda b: b[0])  # the first of the highest
     return best, cert, exhausted
@@ -720,41 +744,25 @@ def _apex_family_value(r: int, s: int) -> Optional[int]:
 
 
 def family_mur(g: Graph) -> Optional[tuple[int, Certificate]]:
-    """Exact value with a theorem-backed certificate, when a recognizer fires."""
-    facts = graph_facts(g)
-    matches = facts.matches
+    """Exact value with a theorem-backed certificate, when a recognizer fires.
 
-    def cert(match: FamilyMatch, value: int) -> Certificate:
-        return Certificate(
-            "family_formula",
-            {"family": match.describe(), "value": value},
-        )
-
-    for m in matches:
-        if m.kind in ("complete", "empty"):
-            return 0, cert(m, 0)
-    for m in matches:
-        if m.kind in ("two_cliques", "clique_plus_isolated"):
-            return 1, cert(m, 1)
-    for m in matches:
-        if m.kind == "union_of_cliques":
-            sizes = m.params["sizes"]
-            if len(sizes) >= 2 and all(s > 1 for s in sizes):
-                return len(sizes) - 1, cert(m, len(sizes) - 1)
-    for m in matches:
-        if m.kind == "clique_isolated_apex":
-            value = _apex_family_value(m.params["r"], m.params["s"])
-            if value is not None:
-                return value, cert(m, value)
-    for m in matches:
-        if m.kind == "regular":  # g and its complement are both regular
+    The matches are tried in the order of their kinds' places, and the
+    first whose kind's formula gives a value settles it.
+    """
+    for m in graph_facts(g).matches:
+        kind, params = m.kind, m.params
+        if _FAMILY_PLACE[kind] <= 1:  # the rank-0 and rank-1 families
+            value = _FAMILY_PLACE[kind]
+        elif kind == "union_of_cliques":  # of two or more cliques, none a vertex
+            value = len(params["sizes"]) - 1
+        elif kind == "clique_isolated_apex":
+            value = _apex_family_value(params["r"], params["s"])
+        elif kind == "regular":  # g and its complement are both regular
             value = regular_mur(g)
-            return value, cert(m, value)
-    for m in matches:
-        if m.kind == "path":
-            n = m.params["n"]
-            if n >= 3:
-                return n - 2, cert(m, n - 2)
+        else:  # a path
+            value = params["n"] - 2 if params["n"] >= 3 else None
+        if value is not None:
+            return value, Certificate("family_formula", {"family": m.describe(), "value": value})
     return None
 
 
@@ -807,20 +815,29 @@ def _clique_lines(degrees: Iterable[int]) -> Iterator[Fraction]:
 
 
 def _delta_lines(g: Graph) -> list[Fraction]:
-    """The delta values searched, each once: 0 and +-1, the clique lines of
-    g's degrees, then the clique lines of the complement's degrees n-1-d.
+    """The delta values searched, each once: 0 and 1, the clique lines of
+    g's degrees, then the clique lines of the complement's degrees n-1-d;
+    never -1.
 
     ``complement_params`` keeps delta, so a line that lowers the rank of the
     complement lowers that of g by as much; g and its complement get the
     same set of lines.
+
+    On delta = -1, A + delta*D = -L, and ``_drop_point`` at a Laplacian
+    eigenvalue lambda ranks B = -(L - lambda*I).  For lambda != 0, B1 =
+    lambda*1 as L1 = 0, so B x = 1 has a solution with 1^T x = n/lambda != 0,
+    and the rank is n - m(lambda) - 1 >= n - M - 1 (``GraphFacts.multiplicity``);
+    for lambda = 0, 1 is not in the column space of L and the rank is n - c.
+    For n >= 2 a side of g is connected, so ``structural_upper`` lists both
+    bounds, and the line never finds a rank below it.
     """
     n, degrees = g.n, g.degrees()
     deltas = [
-        Fraction(0), Fraction(-1), Fraction(1),
+        Fraction(0), Fraction(1),
         *_clique_lines(degrees),
         *_clique_lines(n - 1 - d for d in degrees),
     ]
-    return list(dict.fromkeys(deltas))
+    return [d for d in dict.fromkeys(deltas) if d != -1]
 
 
 def _line_eigenvalues(g: Graph, delta: Fraction) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -891,7 +908,7 @@ def _refine_algebraic(g, lower, upper, ucert):
     theta a root of f.  Every root of f is a real Laplacian eigenvalue, so
     the rank on each branch is a valid upper bound.
     """
-    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly, Fraction(0))
+    _, rest = graph_facts(g).laplacian_split
     theta = Poly.x()
     for factor, _ in squarefree_decomposition(rest):
         if upper <= lower:

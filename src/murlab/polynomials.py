@@ -32,10 +32,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls((0, 1))
 
-    @classmethod
-    def x_minus(cls, r) -> "Poly":
-        return cls((-_coerce(r), 1))
-
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
@@ -206,20 +202,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         z = y - w.derivative()
         i += 1
     return out
-
-
-def root_multiplicity(p: Poly, r) -> tuple[int, Poly]:
-    """Largest e with (x-r)**e dividing p, plus the cofactor p/(x-r)**e."""
-    if p.is_zero():
-        raise ValueError("root multiplicity in the zero polynomial")
-    factor = Poly.x_minus(r)
-    e = 0
-    while True:
-        q, rem = divmod(p, factor)
-        if not rem.is_zero():
-            return e, p
-        p = q
-        e += 1
 
 
 def integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:

@@ -31,7 +31,7 @@ from .engine import (
 from .graphs import Graph, GraphError, components, diameter, encode_graph6, parse_graph6
 from .matrices import rank_algebraic, rank_rational
 from .pathsearch import PathForestWitness, validate_path_forest
-from .polynomials import Poly, check_modulus, root_multiplicity
+from .polynomials import Poly, check_modulus
 
 FORMAT = "murlab-report/1"
 
@@ -141,11 +141,11 @@ def _replay_lower(g: Graph, cert: dict) -> tuple[Optional[int], str]:
             return None, f"recomputed diameter {d} != {data['diameter']}"
         return data["diameter"] - 1, ""
     if kind == "not_in_rank01_families":
-        kinds = {m.kind for m in graph_facts(g).matches}
-        if kinds & {"complete", "empty"}:
+        floor = graph_facts(g).rank01_floor
+        if floor == 0:
             return None, "graph is in a rank-0 family"
         claimed = data["bound"]
-        if claimed >= 2 and kinds & {"two_cliques", "clique_plus_isolated"}:
+        if claimed >= 2 and floor == 1:
             return None, "graph is in a rank-1 family"
         return min(claimed, 2), ""
     if kind == "family_formula":
@@ -224,7 +224,7 @@ def _replay_algebraic_params(g: Graph, data: dict) -> tuple[Optional[int], str]:
     branch = Poly([_rational(c) for c in data["branch"]])
     if data.get("source") != "laplacian_eigenvalue":
         return None, "algebraic certificate without an eigenvalue provenance"
-    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly, Fraction(0))
+    _, rest = graph_facts(g).laplacian_split
     try:
         rest.exact_div(branch)
     except ArithmeticError:

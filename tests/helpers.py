@@ -1,11 +1,23 @@
 """Helpers shared by several test modules."""
 
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import strategies as st
 
-from murlab.graphs import Graph
+from murlab.engine import (
+    DEFAULT_BUDGET,
+    Budget,
+    Certificate,
+    _apex_family_value,
+    _forest_certificate,
+    graph_facts,
+    regular_mur,
+)
+from murlab.families import FamilyMatch, family_matches
+from murlab.graphs import Graph, diameter
+from murlab.pathsearch import best_induced_path_forest
 from murlab.polynomials import Poly
 
 
@@ -92,3 +104,89 @@ def inverse_mod(a: Poly, f: Poly) -> Poly:
     if g.degree > 0:
         raise SplitRequired(g, f.exact_div(g).monic())
     return u % f
+
+
+def x_minus(r) -> Poly:
+    """The polynomial x - r."""
+    return Poly((-Fraction(r), 1))
+
+
+def root_multiplicity(p: Poly, r) -> tuple[int, Poly]:
+    """Largest e with (x-r)**e dividing p, plus the cofactor p/(x-r)**e."""
+    if p.is_zero():
+        raise ValueError("root multiplicity in the zero polynomial")
+    factor = x_minus(r)
+    e = 0
+    while True:
+        q, rem = divmod(p, factor)
+        if not rem.is_zero():
+            return e, p
+        p = q
+        e += 1
+
+
+# The lower bound and the family formulas as they were before the diameter
+# was read only after a cut search and the family kinds were ranked by one
+# table, kept verbatim as references.  The one change: reference_family_mur
+# reads the matches in the recognizers' order, not in the table's.
+def reference_mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certificate, bool]:
+    n = g.n
+    if n == 0:
+        return 0, Certificate("trivial"), True
+    facts = graph_facts(g)
+    exhausted = False
+    bounds = [(0, Certificate("trivial"))]
+    for comp_side in (False, True):
+        side = facts.side(comp_side)
+        res = best_induced_path_forest(side, budget.search_nodes)
+        exhausted = exhausted or not res.exact
+        if res.witness is not None:
+            bounds.append((res.witness.bound, _forest_certificate(res, comp_side)))
+        d = diameter(side)
+        if d != inf and d >= 2:
+            cert = Certificate("diameter", {"diameter": int(d), "on_complement": comp_side})
+            bounds.append((int(d) - 1, cert))
+    kinds = {m.kind for m in facts.matches}
+    if not kinds & {"complete", "empty"}:  # outside the rank-0 families
+        value = 1 if kinds & {"two_cliques", "clique_plus_isolated"} else 2
+        bounds.append((value, Certificate("not_in_rank01_families", {"bound": value})))
+    best, cert = max(bounds, key=lambda b: b[0])  # the first of the highest
+    return best, cert, exhausted
+
+
+def reference_family_mur(g: Graph):
+    facts = graph_facts(g)
+    matches = family_matches(g, facts.complement)
+
+    def cert(match: FamilyMatch, value: int) -> Certificate:
+        return Certificate(
+            "family_formula",
+            {"family": match.describe(), "value": value},
+        )
+
+    for m in matches:
+        if m.kind in ("complete", "empty"):
+            return 0, cert(m, 0)
+    for m in matches:
+        if m.kind in ("two_cliques", "clique_plus_isolated"):
+            return 1, cert(m, 1)
+    for m in matches:
+        if m.kind == "union_of_cliques":
+            sizes = m.params["sizes"]
+            if len(sizes) >= 2 and all(s > 1 for s in sizes):
+                return len(sizes) - 1, cert(m, len(sizes) - 1)
+    for m in matches:
+        if m.kind == "clique_isolated_apex":
+            value = _apex_family_value(m.params["r"], m.params["s"])
+            if value is not None:
+                return value, cert(m, value)
+    for m in matches:
+        if m.kind == "regular":  # g and its complement are both regular
+            value = regular_mur(g)
+            return value, cert(m, value)
+    for m in matches:
+        if m.kind == "path":
+            n = m.params["n"]
+            if n >= 3:
+                return n - 2, cert(m, n - 2)
+    return None

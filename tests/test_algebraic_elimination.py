@@ -12,12 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import SplitRequired, inverse_mod
+from helpers import SplitRequired, inverse_mod, x_minus
 from murlab import matrices
 from murlab.engine import ParamPoint, graph_facts, universal_matrix
 from murlab.graphs import p_prime
 from murlab.matrices import dimensions, rank_algebraic, rank_rational
-from murlab.polynomials import Poly, check_modulus, root_multiplicity, squarefree_decomposition
+from murlab.polynomials import Poly, check_modulus, squarefree_decomposition
 
 X = Poly.x()
 
@@ -134,7 +134,7 @@ def test_monic_modulus_with_fractions():
 def laplacian_points(g):
     """(f, point) for each squarefree factor f of degree >= 2 of g's
     Laplacian spectrum: the points ``_refine_algebraic`` ranks."""
-    _, rest = root_multiplicity(graph_facts(g).laplacian_charpoly, 0)
+    _, rest = graph_facts(g).laplacian_split
     for f, _ in squarefree_decomposition(rest):
         if f.degree >= 2:
             yield f, ParamPoint(X, X * Fraction(-1, g.n), Poly((-1,)))
@@ -159,7 +159,7 @@ def test_a_linear_modulus_ranks_the_matrix_at_its_root(a, nr, nc, data):
     # Q[x]/(x - a) is Q with theta = a, so the rank is rank_rational's there
     entries = st.one_of(st.integers(-3, 3), small, st.lists(small, max_size=3).map(Poly))
     m = data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
-    f = Poly.x_minus(a)
+    f = x_minus(a)
     at_a = [[(e % f)[0] if isinstance(e, Poly) else e for e in row] for row in m]
     assert rank_algebraic(m, f) == [(f, rank_rational(at_a))]
 

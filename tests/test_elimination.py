@@ -186,7 +186,9 @@ def test_rectangular_systems(m, data):
 def test_drop_points_on_every_delta_line_of_the_seven_vertex_atlas():
     tried = 0
     for g in atlas7():
-        for delta in _delta_lines(g):
+        # -1 is not searched (see _delta_lines), but its points are still
+        # ranked by the domination test
+        for delta in [*_delta_lines(g), Fraction(-1)]:
             m, eigenvalues = _line_eigenvalues(g, delta)
             for mu, _ in eigenvalues:
                 assert _drop_point(m, mu, delta) == reference_drop_point(m, mu, delta)

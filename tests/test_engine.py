@@ -43,7 +43,15 @@ from murlab.graphs import (
 )
 from murlab.matrices import charpoly, det_int, rank_rational
 from murlab.polynomials import integer_roots
-from helpers import _gauss_jordan, friendship, graphs_strategy
+from murlab.verify import family_checks
+from helpers import (
+    _gauss_jordan,
+    atlas7,
+    friendship,
+    graphs_strategy,
+    reference_family_mur,
+    reference_mur_lower,
+)
 
 # The grid and seeded random points of the old 3-D candidate stream, kept
 # as the reference the delta search is checked against.
@@ -269,6 +277,66 @@ def test_search_never_above_an_old_candidate(g):
 def test_delta_lines_closed_under_complement(g):
     # complement_params keeps delta, so both sides search the same lines.
     assert set(engine._delta_lines(g)) == set(engine._delta_lines(g.complement()))
+
+
+def assert_minus_one_line_dominated(g):
+    # Every drop point on delta = -1 ranks at least the structural upper
+    # bound, so the search leaves the line out (see _delta_lines).
+    assert Fraction(-1) not in engine._delta_lines(g)
+    upper = engine.structural_upper(g)[0]
+    m, eigenvalues = engine._line_eigenvalues(g, Fraction(-1))
+    for mu, _ in eigenvalues:
+        p = engine._drop_point(m, mu, Fraction(-1))
+        assert rank_rational(engine.integer_universal_matrix(g, p)) >= upper, (g, mu)
+
+
+def test_minus_one_line_dominated_on_the_seven_vertex_atlas():
+    for g in atlas7():
+        assert_minus_one_line_dominated(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_strategy(10))
+def test_minus_one_line_dominated_on_random_graphs(g):
+    assert_minus_one_line_dominated(g)
+
+
+REFERENCE_BUDGETS = [Budget(search_nodes=s) for s in (0, 1, 30)] + [Budget()]
+
+
+def assert_lower_and_family_match_the_references(g):
+    for budget in REFERENCE_BUDGETS:
+        assert mur_lower(g, budget) == reference_mur_lower(g, budget), (g, budget)
+    assert family_mur(g) == reference_family_mur(g), g
+
+
+def test_lower_and_family_match_the_references_on_the_atlas():
+    for g in atlas7():
+        assert_lower_and_family_match_the_references(g)
+
+
+def test_lower_and_family_match_the_references_on_the_family_graphs():
+    for _, g, _ in family_checks():
+        assert_lower_and_family_match_the_references(g)
+        assert_lower_and_family_match_the_references(g.complement())
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_strategy(9))
+def test_lower_and_family_match_the_references_on_random_graphs(g):
+    assert_lower_and_family_match_the_references(g)
+
+
+def test_diameter_only_after_a_cut_search(monkeypatch):
+    calls = []
+    take = engine.diameter
+    monkeypatch.setattr(engine, "diameter", lambda g: calls.append(g) or take(g))
+    for g in atlas7()[::25]:
+        calls.clear()
+        assert not mur_lower(g)[2]  # both searches exhaustive
+        assert calls == []
+        assert mur_lower(g, Budget(search_nodes=1))[2]
+        assert calls == [g, g.complement()]
 
 
 def _points_minor(g, k, rows, cols):

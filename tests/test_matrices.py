@@ -14,7 +14,7 @@ from murlab.matrices import (
     solve_int,
 )
 from murlab.polynomials import Poly, squarefree_decomposition
-from helpers import _gauss_jordan
+from helpers import _gauss_jordan, x_minus
 
 
 def transpose(m):
@@ -112,7 +112,7 @@ def test_charpoly_complete_laplacian():
     # L(K12) = 12 I - J has eigenvalue 0 once and 12 eleven times
     expected = Poly.x()
     for _ in range(11):
-        expected = expected * Poly.x_minus(12)
+        expected = expected * x_minus(12)
     assert charpoly(laplacian(complete(12))) == expected
 
 

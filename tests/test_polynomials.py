@@ -2,13 +2,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from murlab.polynomials import (
-    Poly,
-    integer_roots,
-    poly_gcd,
-    root_multiplicity,
-    squarefree_decomposition,
-)
+from murlab.polynomials import Poly, integer_roots, poly_gcd, squarefree_decomposition
+from helpers import root_multiplicity, x_minus
 
 
 def P(*coeffs):
@@ -44,16 +39,6 @@ def test_squarefree_cubic():
 def test_squarefree_of_squarefree():
     p = P(-6, 1, 1)  # (x - 2)(x + 3)
     assert squarefree_decomposition(p * 5) == [(p, 1)]
-
-
-def test_root_multiplicity():
-    p = P(-2, -3, 0, 1)
-    e, cof = root_multiplicity(p, -1)
-    assert e == 2 and cof == P(-2, 1)
-    e, cof = root_multiplicity(p, 2)
-    assert e == 1
-    e, cof = root_multiplicity(p, 7)
-    assert e == 0 and cof == p
 
 
 def test_integer_roots():
@@ -115,7 +100,7 @@ def test_squarefree_reconstructs(factors, scale):
     p = Poly((scale,))
     for r, e in roots.items():
         for _ in range(e):
-            p = p * Poly.x_minus(r)
+            p = p * x_minus(r)
     rebuilt = Poly((p.leading(),))
     for g, e in squarefree_decomposition(p):
         for _ in range(e):

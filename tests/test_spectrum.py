@@ -35,9 +35,9 @@ from murlab.graphs import (
     petersen,
 )
 from murlab.matrices import charpoly
-from murlab.polynomials import Poly, root_multiplicity, squarefree_decomposition
+from murlab.polynomials import Poly, squarefree_decomposition
 from murlab.report import build_report, replay_report
-from helpers import atlas7, graphs_strategy
+from helpers import atlas7, graphs_strategy, root_multiplicity
 
 
 def reference_laplacian_max_multiplicity(cp: Poly) -> int:
@@ -77,6 +77,13 @@ def assert_multiplicity_serves_each_connected_side(g: Graph):
             assert facts.multiplicity == want, side
 
 
+def test_laplacian_split_on_the_seven_vertex_atlas():
+    for g in atlas7():
+        c, q = graph_facts(g).laplacian_split
+        assert c == components(g)[0] and q[0] != 0, g
+        assert Poly([0] * c + [1]) * q == charpoly(engine.laplacian(g)), g
+
+
 def test_multiplicity_on_the_seven_vertex_atlas():
     graphs = atlas7()
     assert len(graphs) == 1044
@@ -112,22 +119,24 @@ def test_regular_mur_matches_the_adjacency_formula():
 
 @pytest.fixture
 def laplacian_calls(monkeypatch):
-    """The number of Laplacians built since the last reset, which also
-    forgets the facts of the last graph."""
-    calls = [0]
-    build = engine.laplacian
+    """The number of characteristic polynomials taken of L(G) or of -L(G)
+    = A - D since the last reset(G), which also forgets the facts of the
+    last graph."""
+    calls, laplacians = [0], []
+    take = engine.charpoly
 
-    def counting(g):
-        calls[0] += 1
-        return build(g)
+    def counting(m):
+        calls[0] += m in laplacians
+        return take(m)
 
-    monkeypatch.setattr(engine, "laplacian", counting)
+    monkeypatch.setattr(engine, "charpoly", counting)
 
-    def reset():
+    def reset(g):
         engine.graph_facts.cache_clear()
+        lap = engine.laplacian(g)
+        laplacians[:] = [lap, [[-x for x in row] for row in lap]]
         calls[0] = 0
 
-    reset()
     return calls, reset
 
 
@@ -144,7 +153,7 @@ def test_one_laplacian_per_graph(laplacian_calls, monkeypatch):
     docs = []
     graphs = atlas7()[::20] + [petersen(), circulant(8, [1, 3]), parse_graph6("FHCG_")]
     for g in graphs:
-        reset()
+        reset(g)
         reached[0] = 0
         res = compute_mur(g, Budget())
         assert calls[0] <= 1, g
@@ -153,14 +162,15 @@ def test_one_laplacian_per_graph(laplacian_calls, monkeypatch):
         docs.append(build_report(g, res, Budget(), 0.0))
     for n in (4, 6):
         g = p_prime(n)
+        reset(g)
         res = compute_mur(g)
         upper_bound, ucert = _refine_algebraic(g, 0, g.n, Certificate("trivial"))
-        assert "modulus" in ucert.data
+        assert "modulus" in ucert.data and calls[0] <= 1, g
         res = MurResult(res.lower, res.lower_cert, upper_bound, ucert)
         docs.append(build_report(g, res, Budget(), 0.0))
     kinds = set()
     for doc in docs:
-        reset()
+        reset(parse_graph6(doc["graph"]["graph6"]))
         assert all(c.ok for c in replay_report(doc))
         assert calls[0] <= 1, doc["graph"]["graph6"]
         kinds.add(doc["upper_certificate"]["kind"])
