@@ -13,9 +13,9 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from math import factorial, inf, lcm
-from operator import add, itemgetter, mod, mul, neg
+from operator import itemgetter, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .families import family_matches
@@ -280,7 +280,10 @@ def mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certifica
 
     A side's diameter d is read only if its search was cut: a shortest path
     of length d is an induced P_(d+1), of bound d - 1, so an exhaustive
-    search, listed first, reaches at least that.
+    search, listed first, reaches at least that.  A graph in a rank-1
+    family, K_r + K_s or K_r plus isolated vertices, has a connected
+    complement with an induced P3, so a bound of 1 from that side's search
+    or diameter comes first; the family floor is listed only at 2.
     """
     n = g.n
     if n == 0:
@@ -299,9 +302,8 @@ def mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certifica
             if d != inf and d >= 2:
                 cert = Certificate("diameter", {"diameter": int(d), "on_complement": comp_side})
                 bounds.append((int(d) - 1, cert))
-    value = facts.rank01_floor
-    if value:  # outside the rank-0 families
-        bounds.append((value, Certificate("not_in_rank01_families", {"bound": value})))
+    if facts.rank01_floor == 2:  # outside the rank-0 and rank-1 families
+        bounds.append((2, Certificate("not_in_rank01_families", {"bound": 2})))
     best, cert = max(bounds, key=lambda b: b[0])  # the first of the highest
     return best, cert, exhausted
 
@@ -311,7 +313,12 @@ def mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certifica
 # universal matrix, taken as polynomials in (beta, gamma, delta), no real or
 # complex parameters give rank < k.
 
-_PRIME = (1 << 61) - 1
+# The prime of the minors echelon, a Mersenne prime, so that a folding
+# reduces modulo it (see ``_Echelon``).  It only picks the minors: their
+# weights are solved for and checked exactly, so any prime is sound, and
+# this one keeps every coefficient of a minor of order up to 5 on 7
+# vertices in one 64-bit slot.
+_PRIME = (1 << 31) - 1
 # Cap on the determinant work of one attempt, counted as k**3 per k x k
 # determinant.  It lets a 7-vertex graph exhaust every minor and bounds the
 # cost of a failed attempt on larger graphs.
@@ -550,7 +557,7 @@ def _expand_minor(entries, tables, rows, cols) -> tuple[int, int]:
 
 
 class _Echelon:
-    """Integer vectors modulo the prime p = 2**61 - 1 in reduced echelon
+    """Integer vectors modulo the prime p = 2**31 - 1 in reduced echelon
     form, and the residual of a target vector against them.
 
     ``add`` reduces a vector against the rows.  If its residual is zero,
@@ -561,81 +568,97 @@ class _Echelon:
     v - sum(v[pivot_i] * row_i), and the target lies in the span exactly
     when its residual is zero.
 
-    A row is one integer: coordinate q sits in slot q, w bits wide, w a
-    multiple of 64, so that every slot is whole machine words.  A slot
-    holds a residue below 2**62, not necessarily reduced.  The heads
-    v[pivot_i] are taken as they are, each below ``height`` in absolute
-    value, so each slot of sum(heads * rows) lies below bound = len(v) *
-    height * 2**62 in absolute value.  An offset that is a multiple of p
-    and at least bound in every slot makes every slot positive; w is the
-    least multiple of 64 that holds offset + bound: 128 for minors of order
-    up to 10 on up to 12 vertices, and at least 128 whenever there are two
-    or more coordinates, which leaves room for the row updates below.
-    Foldings x -> (x & p) + (x >> 61), done on every slot at once through
-    masks, keep each slot's residue and shrink it below 2**62, one machine
-    word, so that one ``to_bytes`` call reads off every slot.  When a row is updated it gains
-    (p - c) times the new row, less than 2**122 per slot, and two foldings
-    bring it back below 2**62 with no decoding.
+    Rows, residuals and the target are each one integer: coordinate q sits
+    in slot q, w bits wide, w a multiple of 64, so that every slot is whole
+    machine words.  A row's slot holds a residue below 2**32, not
+    necessarily reduced.  The heads v[pivot_i] and v itself are taken as
+    they are, each below ``height`` in absolute value, so each slot of
+    v - sum(heads * rows) lies below bound = len(v) * height * 2**32 +
+    height in absolute value.  An offset that is a multiple of p and at
+    least bound in every slot makes every slot positive; w is the least
+    multiple of 64 that holds offset + bound: 64 for minors of order up to
+    5 on 7 vertices, 128 for order 6 on 7 or 8 and for order 10 on 12.
+    Foldings x -> (x & p) + (x >> 31), done on every slot at once through
+    masks, keep each slot's residue and bring it below 2p; subtracting p
+    from every slot at or above p then leaves each slot reduced, so a
+    vector in the span leaves with its residual still packed, compared
+    with 0.  A kept residual's pivot is its lowest nonzero slot.  When a
+    row or the target is updated it gains (p - c) times the new row, less
+    than 2**63 per slot, and two foldings bring it back below 2**32.
     """
 
     def __init__(self, target: Sequence[int], height: int):
         n = len(target)
         self.pivots: list[int] = []
         self.rows: list[int] = []
-        self.target = [t % _PRIME for t in target]
-        bound = n * height << 62
+        bound = (n * height << 32) + height
         offset = -(-bound // _PRIME) * _PRIME
         w = self.width = -(-(offset + bound).bit_length() // 64) * 64
-        ones = sum(1 << w * q for q in range(n))
+        ones = self.ones = ((1 << w * n) - 1) // ((1 << w) - 1)
         self.offset = offset * ones
-        self.low = _PRIME * ones  # the low 61 bits of every slot
-        self.high = ((1 << w - 61) - 1) * ones  # the rest, shifted down by 61
+        self.low = _PRIME * ones  # the low 31 bits of every slot
+        self.high = ((1 << w - 31) - 1) * ones  # the rest, shifted down by 31
+        self.target = sum(t % _PRIME << w * q for q, t in enumerate(target))
+        # v is packed from signed 64-bit digits, the least that hold height
+        self.digits = (height.bit_length() + 65) // 64
         self.nbytes = n * w // 8
-        # foldings that bring a slot below 2**w under 2**62
-        bits, self.folds = w, 0
-        while bits > 62:
-            bits, self.folds = max(bits - 61, 61) + 1, self.folds + 1
+        self.signs = ((1 << 8 * self.nbytes) - 1) // ((1 << 64) - 1) << 63
+        # foldings that bring a slot below 2**w under 2p
+        top, self.folds = (1 << w) - 1, 0
+        while top >= 2 * _PRIME:
+            top, self.folds = _PRIME + (top >> 31), self.folds + 1
 
     def spans_target(self) -> bool:
-        return not any(self.target)
+        return not self.target
 
-    def _fold(self, x: int) -> int:
-        return (x & self.low) + (x >> 61 & self.high)
+    def _fold(self, x: int, times: int) -> int:
+        for _ in range(times):
+            x = (x & self.low) + (x >> 31 & self.high)
+        return x
 
-    def _residual(self, v: Sequence[int]) -> list[int]:
-        heads = [v[p] for p in self.pivots]
-        packed = self.offset - sum(map(mul, heads, self.rows))
-        for _ in range(self.folds):
-            packed = self._fold(packed)
-        words = memoryview(packed.to_bytes(self.nbytes, sys.byteorder)).cast("Q")
+    def _reduce(self, x: int) -> int:
+        """x with every slot, below 2p, reduced: s >= p exactly when bit 31
+        of s + 1 is set."""
+        return x - _PRIME * ((x + self.ones) >> 31 & self.ones)
+
+    def _pack(self, v: Sequence[int]) -> int:
+        """sum(v[q] << w*q).  Each coordinate is written as signed 64-bit
+        digits into the low words of its slot (one digit for heights below
+        2**62), the words are read as one unsigned integer, and flipping
+        then subtracting every word's top bit turns each word's two's
+        complement back into its signed value."""
+        words = array("q", bytes(self.nbytes))
+        step = self.width // 64
+        for i in range(self.digits - 1):
+            v = [x + (1 << 63) for x in v]
+            words[i::step] = array("q", [(x & (1 << 64) - 1) - (1 << 63) for x in v])
+            v = [x >> 64 for x in v]
+        words[self.digits - 1 :: step] = array("q", v)
         if sys.byteorder == "big":
-            words = words[::-1]
-        return list(map(mod, map(add, v, words[:: self.width // 64]), repeat(_PRIME)))
+            words.reverse()
+        return (int.from_bytes(words, sys.byteorder) ^ self.signs) - self.signs
 
     def add(self, v: Sequence[int]) -> bool:
         """Reduce v; make its residual a row if that is nonzero, and say so."""
-        res = self._residual(v)
-        if not any(res):
+        heads = [v[p] for p in self.pivots]
+        res = self.offset + self._pack(v) - sum(map(mul, heads, self.rows))
+        res = self._reduce(self._fold(res, self.folds))
+        if not res:
             return False
-        j = res.index(next(filter(None, res)))
-        res = list(map(mod, map(mul, res, repeat(pow(res[j], -1, _PRIME))), repeat(_PRIME)))
-        step = self.width // 64
-        words = [0] * (len(res) * step)
-        words[::step] = res
-        if sys.byteorder == "big":
-            words.reverse()
-        new = int.from_bytes(array("Q", words), sys.byteorder)
-        shift, slot = self.width * j, (1 << self.width) - 1
-        rows, fold = self.rows, self._fold
+        w = self.width
+        j = ((res & -res).bit_length() - 1) // w
+        shift = w * j
+        new = self._fold(res * pow(res >> shift & _PRIME, -1, _PRIME), 2)
+        rows = self.rows
         for i, row in enumerate(rows):
-            c = (row >> shift & slot) % _PRIME
+            c = (row >> shift & 0xFFFF_FFFF) % _PRIME
             if c:
-                rows[i] = fold(fold(row + (_PRIME - c) * new))
+                rows[i] = self._fold(row + (_PRIME - c) * new, 2)
         rows.append(new)
         self.pivots.append(j)
-        t = self.target[j]
+        t = self.target >> shift & _PRIME
         if t:
-            self.target = [(y - t * x) % _PRIME for y, x in zip(self.target, res)]
+            self.target = self._reduce(self._fold(self.target + (_PRIME - t) * new, 2))
         return True
 
 

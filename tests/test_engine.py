@@ -327,6 +327,25 @@ def test_lower_and_family_match_the_references_on_random_graphs(g):
     assert_lower_and_family_match_the_references(g)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        disjoint_union([complete(3), complete(3)]),
+        disjoint_union([complete(4), empty(2)]),
+        disjoint_union([complete(2), complete(5)]),
+    ],
+    ids=["K3+K3", "K4+2K1", "K2+K5"],
+)
+def test_rank_one_families_are_bounded_by_their_complement(g):
+    # In a rank-1 family the complement's search or diameter gives 1 before
+    # the family floor could, so that floor is listed only at 2.
+    assert engine.graph_facts(g).rank01_floor == 1
+    for budget in (Budget(search_nodes=0), Budget(search_nodes=1), Budget()):
+        lower, cert, exhausted = mur_lower(g, budget)
+        assert (lower, cert, exhausted) == reference_mur_lower(g, budget)
+        assert lower == 1 and cert.kind != "not_in_rank01_families"
+
+
 def test_diameter_only_after_a_cut_search(monkeypatch):
     calls = []
     take = engine.diameter
@@ -438,7 +457,7 @@ def test_minor_tables_stay_within_their_budget(monkeypatch):
     assert most < max(sizes) < most + 2**k
 
 
-PRIME = (1 << 61) - 1
+PRIME = engine._PRIME
 
 
 def _list_echelon(vectors, target):
@@ -503,11 +522,13 @@ def _packed_echelon(vectors, target, height):
 
 @st.composite
 def vector_streams(draw):
-    """(vectors, target): fresh vectors, among them ones with entries above
-    2**61, then zero vectors, + or - copies, scaled copies and small
-    integer combinations of vectors earlier in the stream."""
+    """(vectors, target): fresh vectors, then zero vectors, + or - copies,
+    scaled copies and small integer combinations of vectors earlier in the
+    stream.  Either every entry, copies and combinations too, fits a slot
+    of one machine word, or fresh vectors may have entries above 2**63."""
     n = draw(st.integers(2, 20))
-    entries = st.integers(-9, 9) | st.integers(-(2**64), 2**64)
+    small = st.integers(-9, 9) | st.integers(-(2**20), 2**20)
+    entries = draw(st.sampled_from([small, small | st.integers(-(2**64), 2**64)]))
     target = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     stream = []
     for _ in range(draw(st.integers(1, 3 * n))):
@@ -526,9 +547,35 @@ def vector_streams(draw):
     return [tuple(v) for v in stream], target
 
 
+def _widest_one_word_height(n):
+    """The greatest height whose echelon on n coordinates has 64-bit slots."""
+    lo, hi = 1, 1 << 40  # 64 bits at lo, more at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if engine._Echelon([1] * n, mid).width == 64 else (lo, mid)
+    return lo
+
+
+def _edge_stream(n, height):
+    """Vectors with entries +-(height - 1) on n coordinates, dependent ones
+    among them, whose largest entry is height - 1."""
+    top = height - 1
+    a = tuple(top if q % 3 else -top for q in range(n))
+    b = tuple(-top if q % 2 else top for q in range(n))
+    c = tuple(top * (q == n - 1) for q in range(n))
+    return [a, tuple(-x for x in a), b, c, tuple(-x for x in b)], [1] + [0] * (n - 1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(vector_streams())
 @example(([tuple(range(1, 21)), (2**64,) * 20, tuple(range(2, 22))], [1] * 20))
+# at the greatest height of 64-bit slots, and one past it (128-bit slots)
+@example(_edge_stream(20, _widest_one_word_height(20)))
+@example(_edge_stream(20, _widest_one_word_height(20) + 1))
+@example(_edge_stream(42, _widest_one_word_height(42)))
+@example(_edge_stream(42, _widest_one_word_height(42) + 1))
+# entries above 2**63, two signed digits each
+@example(_edge_stream(6, 2**63 + 5))
 def test_packed_echelon_matches_the_list_echelon(case):
     # Both pick the same vectors and pivots and stop at the same place.  A
     # zero vector, a + or - copy and a scaled copy of a vector tried before
@@ -536,9 +583,11 @@ def test_packed_echelon_matches_the_list_echelon(case):
     # residual where the reference drops them by their key.  The two could
     # differ only after a vector whose entries are all multiples of the
     # prime: the reference would skip its quotient by the key, though the
-    # quotient need not lie in the span.  A minor has that form only if
-    # every coefficient is a multiple of 2**61 - 1, impossible below that
-    # height, so such streams are left out.
+    # quotient need not lie in the span.  Such streams are left out.  A
+    # minor has that form only if every coefficient is a multiple of
+    # 2**31 - 1, which needs a height (3n)**k above it, as from order 6 on
+    # 12 vertices (36**6 > 2**31 - 1); the stage then drops the minor,
+    # which costs a certificate at most, never its soundness.
     vectors, target = case
     assume(all(math.gcd(*v) % PRIME for v in vectors if any(v)))
     height = max(abs(x) for v in vectors for x in v) + 1
@@ -546,11 +595,17 @@ def test_packed_echelon_matches_the_list_echelon(case):
 
 
 def test_packed_echelon_slot_widths():
-    # 2 x 64-bit words per slot for minors of order 10 on 12 vertices; the
-    # 3 words for heads up to 2**64 on 20 coordinates.
-    k = 10
-    assert engine._Echelon(engine.constant_one(k), 36**k).width == 128
-    assert engine._Echelon([1] * 20, 2**64).width == 192
+    # One 64-bit word per slot for minors of order 3 to 5 on 7 vertices;
+    # 2 words for order 6 on 7 vertices and order 10 on 12, and for heads
+    # up to 2**64 on 20 coordinates.
+    for k in (3, 4, 5):
+        assert engine._Echelon(engine.constant_one(k), 21**k).width == 64
+    assert engine._Echelon(engine.constant_one(6), 21**6).width == 128
+    assert engine._Echelon(engine.constant_one(10), 36**10).width == 128
+    assert engine._Echelon([1] * 20, 2**64).width == 128
+    # the edge the examples above sit on
+    height = _widest_one_word_height(20)
+    assert engine._Echelon([1] * 20, height + 1).width == 128
 
 
 def _per_point_minors_combination(g, k):
@@ -600,7 +655,8 @@ def test_minor_tables_give_the_per_point_certificates():
         (cycle(7), range(2, 7)),  # certificates up to order 4, mur(C7) = 4
         (cycle(7).complement(), range(2, 7)),
         (complete_bipartite(3, 4), range(2, 7)),  # mur = 1: every attempt fails
-        # past the table order, 42**12 > 2**61: heads above the prime
+        # past the table order, 42**12 > 2**64: heads above the prime and
+        # coefficients of two signed 64-bit digits
         (cycle(14), [engine._TABLE_ORDER + 2]),
     ],
     ids=["C7", "C7-complement", "K3,4", "C14-k12"],
