@@ -13,13 +13,13 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, islice
-from math import factorial, inf, lcm
+from itertools import combinations, compress, islice, repeat
+from math import comb, factorial, inf, lcm
 from operator import itemgetter, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .families import family_matches
-from .graphs import Graph, components, diameter
+from .graphs import Graph, _bits, components, diameter, twin_classes
 from .matrices import (
     _back_substitute, _eliminate, charpoly, det_int, rank_algebraic, rank_rational, solve_int,
 )
@@ -380,28 +380,31 @@ def _slot_width(n: int, k: int) -> int:
 
 
 def _unpacker(k: int, w: int):
-    """Decoder of a packed minor into its coefficients of total degree <= k,
-    in the order of one gamma half of ``minor_points(k)``.
+    """Decoder of a packed minor, its pair (at gamma = 0, at gamma = 1), into
+    its coefficient tuple, in the order of ``minor_points(k)``.
 
-    Adding 2**(w-1) to every slot makes each slot nonnegative, so no slot
-    borrows from the next; flipping each slot's top bit back then leaves
-    every coefficient in its slot in two's complement.  One ``to_bytes``
-    call in the machine's byte order lays the slots out as signed machine
-    integers, last slot first on a big-endian machine.
+    The two halves are read as one integer of 2(k+1)**2 slots.  Adding
+    2**(w-1) to every slot makes each slot nonnegative, so no slot borrows
+    from the next; flipping each slot's top bit back then leaves every
+    coefficient in its slot in two's complement.  One ``to_bytes`` call in
+    the machine's byte order lays the slots out as signed machine integers,
+    last slot first on a big-endian machine.
     """
     nslots = (k + 1) ** 2
-    offset = (1 << (w - 1)) * ((1 << w * nslots) - 1) // ((1 << w) - 1)
-    nbytes = w * nslots // 8
-    slots = [b + (k + 1) * d for b, c, d in minor_points(k) if not c]
+    half = w * nslots
+    offset = (1 << (w - 1)) * ((1 << 2 * half) - 1) // ((1 << w) - 1)
+    nbytes = 2 * half // 8
+    slots = [b + (k + 1) * d + c * nslots for b, c, d in minor_points(k)]
     if sys.byteorder == "big":
-        slots = [nslots - 1 - s for s in slots]
+        slots = [2 * nslots - 1 - s for s in slots]
     pick = itemgetter(*slots)
     fmt = next((f for f in "bhilq" if memoryview(bytes(8)).cast(f).itemsize * 8 == w), None)
     if fmt is None:  # slots wider than a machine integer
         step = w // 8
 
-        def unpack(p: int) -> tuple[int, ...]:
-            data = ((p + offset) ^ offset).to_bytes(nbytes, sys.byteorder)
+        def unpack(minor: tuple[int, int]) -> tuple[int, ...]:
+            both = minor[0] + (minor[1] << half)
+            data = ((both + offset) ^ offset).to_bytes(nbytes, sys.byteorder)
             return pick([
                 int.from_bytes(data[i:i + step], sys.byteorder, signed=True)
                 for i in range(0, nbytes, step)
@@ -409,8 +412,9 @@ def _unpacker(k: int, w: int):
 
         return unpack
 
-    def unpack(p: int) -> tuple[int, ...]:
-        data = ((p + offset) ^ offset).to_bytes(nbytes, sys.byteorder)
+    def unpack(minor: tuple[int, int]) -> tuple[int, ...]:
+        both = minor[0] + (minor[1] << half)
+        data = ((both + offset) ^ offset).to_bytes(nbytes, sys.byteorder)
         return pick(memoryview(data).cast(fmt))
 
     return unpack
@@ -494,8 +498,7 @@ def _minors(g: Graph, k: int, pairs: Iterable[tuple[IndexSet, IndexSet]]):
     if k > _TABLE_ORDER:
         return tuple, _interpolated_minors(g, k, pairs)  # tuple(t) is t
     w = _slot_width(g.n, k)
-    unpack = _unpacker(k, w)
-    return (lambda minor: unpack(minor[0]) + unpack(minor[1])), _table_minors(g, k, w, pairs)
+    return _unpacker(k, w), _table_minors(g, k, w, pairs)
 
 
 def _interpolated_minors(g, k, pairs):
@@ -626,14 +629,18 @@ class _Echelon:
         digits into the low words of its slot (one digit for heights below
         2**62), the words are read as one unsigned integer, and flipping
         then subtracting every word's top bit turns each word's two's
-        complement back into its signed value."""
-        words = array("q", bytes(self.nbytes))
+        complement back into its signed value.  With one word per slot and
+        one digit, v's coordinates are the words, taken in one pass."""
         step = self.width // 64
-        for i in range(self.digits - 1):
-            v = [x + (1 << 63) for x in v]
-            words[i::step] = array("q", [(x & (1 << 64) - 1) - (1 << 63) for x in v])
-            v = [x >> 64 for x in v]
-        words[self.digits - 1 :: step] = array("q", v)
+        if step == self.digits == 1:
+            words = array("q", v)
+        else:
+            words = array("q", bytes(self.nbytes))
+            for i in range(self.digits - 1):
+                v = [x + (1 << 63) for x in v]
+                words[i::step] = array("q", [(x & (1 << 64) - 1) - (1 << 63) for x in v])
+                v = [x >> 64 for x in v]
+            words[self.digits - 1 :: step] = array("q", v)
         if sys.byteorder == "big":
             words.reverse()
         return (int.from_bytes(words, sys.byteorder) ^ self.signs) - self.signs
@@ -662,34 +669,107 @@ class _Echelon:
         return True
 
 
+def _minor_pairs(g: Graph, k: int, cap: int) -> Iterator[tuple[IndexSet, IndexSet]]:
+    """The pairs (R, C) of k-subsets, R <= C, that the twin rule (see
+    ``minors_combination``) keeps of the first ``cap`` pairs of the
+    lexicographic stream, made lazily.
+
+    Along the sorted vertices of each class of ``twin_classes``, membership
+    in a kept pair runs: R and C, then R only, then C only, then neither;
+    and at most one vertex of the class is in R only, at most one in C
+    only.  A subset's word holds three masks of the vertices that follow a
+    twin in their class: ``lead``, the members that follow a non-member;
+    ``a``, the members that follow a member; ``b``, the non-members that
+    follow a non-member, shifted by 0, n and 2n bits.  R is in order when
+    its ``lead`` is empty; a row set out of order is skipped with its whole
+    block of columns.  Then C is kept unless its ``lead`` meets R's ``a``
+    or ``b`` (C out of order inside R or outside it), its ``a`` meets R's
+    ``b`` (two twins in C only) or its ``b`` meets R's ``a`` (two in R
+    only): one AND of C's word with a word made from R's.  A word depends
+    only on the subset's class members, so words are kept by that mask, and
+    the columns' words are made only for a row that filters them: with no
+    twins, none.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    classes = twin_classes(g)
+    members = sum(classes)
+    follows = []  # (the bit of v, the bit of the twin before v) for each class
+    for cls in classes:
+        verts = _bits(cls)
+        follows += [(1 << v, 1 << u) for u, v in zip(verts, verts[1:])]
+    later = sum(bit for bit, _ in follows)
+    member_bits = [members & 1 << v for v in range(n)]
+    known: dict[int, int] = {}  # a word, by the subset's mask of class members
+
+    def word(m):
+        w = known.get(m)
+        if w is None:
+            after = sum(bit for bit, before in follows if before & m)  # follow a member
+            w = known[m] = (m & later & ~after) | (m & after) << n | (later & ~m & ~after) << 2 * n
+        return w
+
+    total = comb(n, k)
+    fresh = combinations(range(n), k)
+    keys = map(sum, combinations(member_bits, k))  # the same subsets' masks of class members
+    subsets: list[tuple[int, ...]] = []  # the subsets made so far
+    words: list[int] = []  # the words of the first subsets, made as columns need them
+    start = 0  # the position of (R, R) in the lexicographic stream
+    for i in range(total):
+        if start >= cap:
+            return
+        end = min(total, i + cap - start)  # the block's columns within the cap
+        subsets += islice(fresh, max(end - len(subsets), 0))
+        rows = subsets[i]
+        w = words[i] if i < len(words) else word(sum(map(member_bits.__getitem__, rows)))
+        if not w & full:
+            a, b = w >> n & full, w >> 2 * n
+            clash = a | b | b << n | a << 2 * n
+            cols = subsets[i:end]
+            if clash:
+                words += map(word, islice(keys, max(end - len(words), 0)))
+                cols = compress(cols, [not c & clash for c in words[i:end]])
+            yield from zip(repeat(rows), cols)
+        start += total - i
+
+
 def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     """A certificate that mur(g) >= k, or None if none was found.
+
+    The pairs (R, C) of k-subsets are tried in lexicographic order, R <= C
+    only, since U is symmetric and minor(R, C) == minor(C, R).  Twins t and
+    v (``twin_classes``) are swapped by an automorphism, which fixes A, D
+    and J and so U: det U[s(R), s(C)] = +-det U[R, C] for every permutation
+    s inside the classes.  A pair is tried only if its membership along
+    each class's sorted vertices runs R and C, then R only, then C only,
+    then neither; the earliest pair in the stream of each orbit of such
+    permutations and the transpose does.  Rows t and v of U agree off
+    columns t and v, so two twins in R but not in C make two rows of
+    U[R, C] equal, and two in C but not in R two columns: such pairs are
+    skipped as zero.  Every skipped pair is thus zero or + or - a minor
+    tried earlier, one the stage would have dropped, so the minors kept and
+    the certificate are those of the whole stream.  The work cap counts
+    the whole stream's positions, skipped pairs included.  See
+    ``_minor_pairs``.
 
     A minor that is zero, or + or - a minor already tried, is dropped
     before it is decoded; only the key it is compared by is made positive
     (by the sign of its first nonzero part), never the minor.  The others
     go as coefficient vectors (see ``minor_coefficients``) into an
     ``_Echelon`` modulo a prime, which keeps the independent ones until the
-    constant 1 lies in their span.  A scaled copy of a minor already tried
-    lies in that span, so the echelon drops it.  The weights are then
-    solved for exactly from the minors kept, and the identity is checked on
-    every coefficient, so a failure anywhere only means no certificate.
+    constant 1 lies in their span.  A scaled copy of a minor already tried lies in
+    that span, so the echelon drops it.  The weights are then solved for
+    exactly from the minors kept, and the identity is checked on every
+    coefficient, so a failure anywhere only means no certificate.
     Coefficients and values on ``minor_points(k)`` determine each other by
     an integer map that is invertible over Q and modulo the prime, so the
     minors chosen and their weights are those an elimination of the values
     would give.
     """
     ncoeffs = (k + 1) * (k + 2)
-    # U is symmetric, so minor(R, C) == minor(C, R): take R <= C only.  Each
-    # pair costs (k+1)(k+2) * k**3 of the work cap, charged before it is tried.
-    # The k-subsets are streamed: the cap may allow a handful of pairs out of
-    # millions of subsets.
-    pairs = (
-        (rows, cols)
-        for i, rows in enumerate(combinations(range(g.n), k))
-        for cols in islice(combinations(range(g.n), k), i, None)
-    )
-    pairs = islice(pairs, -(-_MINOR_STAGE_WORK // max(ncoeffs * k**3, 1)))
+    # Each pair costs (k+1)(k+2) * k**3 of the work cap, charged before it is
+    # tried, whether or not the twin rule skips it.
+    pairs = _minor_pairs(g, k, -(-_MINOR_STAGE_WORK // max(ncoeffs * k**3, 1)))
     # Every coefficient of a minor is below (3n)**k (see _slot_width).
     echelon = _Echelon(constant_one(k), (3 * g.n) ** k)
     chosen: list[tuple[IndexSet, IndexSet, tuple[int, ...]]] = []

@@ -322,6 +322,29 @@ def _component_masks(g: Graph, within: int) -> list[int]:
     return parts
 
 
+def twin_classes(g: Graph) -> list[int]:
+    """Vertex masks of the classes of twins with two or more vertices, in the
+    order of their least vertices.
+
+    t and v are twins when N(t) = N(v) (open twins, never adjacent) or
+    N[t] = N[v] (closed twins, always adjacent).  No vertex has twins of
+    both kinds: open twins t, v and a closed twin w of t would make w a
+    neighbour of v and v one of t.  So the classes are disjoint, and each
+    is one kind.  Swapping two twins is an automorphism.  Open twins of g
+    are closed twins of its complement, so both sides have the same classes.
+
+    One table serves both kinds: N(v) = N[u] is impossible, since u in
+    N(v) puts v in N(u), which is inside N[u] = N(v).  A class enters the
+    table at its least vertex.
+    """
+    by_nbhd: dict[int, int] = {}  # N(v) and N[v] -> the vertices with it
+    for v, row in enumerate(g.rows):
+        bit = 1 << v
+        by_nbhd[row] = by_nbhd.get(row, 0) | bit
+        by_nbhd[row | bit] = by_nbhd.get(row | bit, 0) | bit
+    return [m for m in by_nbhd.values() if m & m - 1]
+
+
 def diameter(g: Graph) -> float:
     """Maximum eccentricity; math.inf if disconnected, 0 for n <= 1."""
     if g.n <= 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _component_masks
+from .graphs import Graph, _bits, _component_masks, twin_classes
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -46,30 +46,27 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
     most two ends, and not the two ends of one path; the bound at a leaf is
     then ``edges - (not lone)``.
 
-    Twins are searched once.  ``twins[v]`` holds the earlier vertices t with
-    N(t) = N(v) or N[t] = N[v], and v is not included once such a t has been
-    excluded.  Swapping t in for v maps every forest of that branch to an
-    isomorphic forest with the same bound that the include-first order meets
-    earlier, in t's include branch; the bound only moves on a strict gain.
-    So a complete search keeps its first-found witness in fewer nodes, and a
-    cut one, which gets at least as far through the same order, never ends
-    on a lower bound than without the rule.
+    Twins are searched once.  ``twins[v]`` holds the earlier vertices t of
+    v's class in ``twin_classes`` (N(t) = N(v) or N[t] = N[v]), and v is not
+    included once such a t has been excluded.  Swapping t in for v maps
+    every forest of that branch to an isomorphic forest with the same bound
+    that the include-first order meets earlier, in t's include branch; the
+    bound only moves on a strict gain.  So a complete search keeps its
+    first-found witness in fewer nodes, and a cut one, which gets at least
+    as far through the same order, never ends on a lower bound than without
+    the rule.
     """
     n = g.n
     rows = g.rows
     twins = [0] * n
     twinned = 0  # the vertices with an earlier twin
-    by_open: dict[int, int] = {}  # neighbourhood -> the vertices seen with it
-    by_closed: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        bit = 1 << v
-        closed = row | bit
-        t = by_open.get(row, 0) | by_closed.get(closed, 0)
-        if t:
-            twins[v] = t
-            twinned |= bit
-        by_open[row] = by_open.get(row, 0) | bit
-        by_closed[closed] = by_closed.get(closed, 0) | bit
+    for cls in twin_classes(g):
+        rest = cls & cls - 1  # all but the least vertex
+        twinned |= rest
+        while rest:
+            low = rest & -rest
+            twins[low.bit_length() - 1] = cls & low - 1
+            rest ^= low
     best_bound = -1
     best_mask = 0
     budget = node_budget

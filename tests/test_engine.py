@@ -3,12 +3,12 @@ from fractions import Fraction
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from murlab import engine, report
+from murlab import engine, report, verify
 from murlab.engine import (
     Budget,
     EngineError,
@@ -40,6 +40,7 @@ from murlab.graphs import (
     path,
     petersen,
     star,
+    twin_classes,
 )
 from murlab.matrices import charpoly, det_int, rank_rational
 from murlab.polynomials import integer_roots
@@ -758,6 +759,133 @@ def test_minors_stage_streams_the_subsets():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def _whole_stream(g, k, cap):
+    """The first ``cap`` pairs R <= C of k-subsets in lexicographic order,
+    none skipped: the stream of the minors stage without the twin rule."""
+    pairs = (
+        (rows, cols)
+        for i, rows in enumerate(combinations(range(g.n), k))
+        for cols in islice(combinations(range(g.n), k), i, None)
+    )
+    return islice(pairs, cap)
+
+
+def _stage_run(g, k):
+    """minors_combination(g, k)'s certificate data, and the coefficients of
+    the minors its echelon kept, in order."""
+    kept = []
+    add = engine._Echelon.add
+
+    def spy(self, v):
+        if add(self, v):
+            kept.append(tuple(v))
+            return True
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Echelon, "add", spy)
+        cert = minors_combination(g, k)
+    return cert and cert.data, kept
+
+
+def assert_same_minors(g, orders):
+    # The stage over the twin rule's pairs keeps the minors, and gives the
+    # certificate, of the stage over the whole stream.
+    for k in orders:
+        got = _stage_run(g, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_minor_pairs", _whole_stream)
+            want = _stage_run(g, k)
+        assert got == want, k
+
+
+def test_twin_rule_keeps_the_minors_on_the_atlas():
+    for g in atlas7()[::10]:
+        for side in (g, g.complement()):
+            assert_same_minors(side, range(3, 7))
+
+
+def _seeded_with_twins(n, count):
+    graphs = (verify._random_graph(random.Random(1000 * n + seed), n) for seed in range(1000))
+    return list(islice((g for g in graphs if twin_classes(g)), count))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_twin_rule_keeps_the_minors_on_seeded_graphs(n):
+    # The work cap binds from order 5 on 10 vertices: the pairs both
+    # streams reach end at the same position.
+    for g in _seeded_with_twins(n, 4):
+        assert_same_minors(g, range(3, n - 1))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [friendship(3), complete_bipartite(3, 4), complete(7).complement()],
+    ids=["F3", "K3,4", "7K1"],
+)
+def test_twin_rule_keeps_the_minors_on_twin_families(g):
+    assert_same_minors(g, range(2, 5))
+
+
+def test_twin_rule_keeps_the_minors_of_a_complete_multipartite_graph():
+    # K2,2,3: three classes of open twins, every vertex in one
+    part = [0, 0, 1, 1, 2, 2, 2]
+    g = Graph.from_edges(7, [(u, v) for u, v in combinations(range(7), 2) if part[u] != part[v]])
+    assert twin_classes(g) == [0b11, 0b1100, 0b1110000]
+    assert_same_minors(g, range(2, 5))
+
+
+def test_twin_rule_skips_only_zero_or_repeated_minors():
+    # 0, 1, 2 are open twins (N = {3, 4}) and 5, 6 closed twins (N[5] =
+    # {4, 5, 6}).  Every pair the rule skips has a zero minor or + or - that
+    # of a pair earlier in the stream that it keeps, and a cap on the
+    # stream's positions cuts the kept pairs at the same place.
+    g = Graph.from_edges(7, [(u, v) for u in range(3) for v in (3, 4)] + [(4, 5), (4, 6), (5, 6)])
+    assert twin_classes(g) == [0b111, 0b1100000]
+    for k in range(1, 7):
+        whole = list(_whole_stream(g, k, None))
+        kept = list(engine._minor_pairs(g, k, len(whole)))
+        place = {pair: i for i, pair in enumerate(whole)}
+        assert [place[pair] for pair in kept] == sorted(place[pair] for pair in kept)
+        coeffs = dict(((r, c), m) for r, c, m in minor_coefficients(g, k, whole))
+        tried = {}  # + or - a minor kept -> its first pair
+        for pair in whole:
+            minor = coeffs[pair]
+            key = max(minor, tuple(-x for x in minor))
+            if pair in kept:
+                tried.setdefault(key, pair)
+            else:
+                assert not any(minor) or key in tried, (k, pair)
+        assert len(kept) < len(whole) or k == 6
+        for cap in range(len(whole) + 1):
+            assert list(engine._minor_pairs(g, k, cap)) == [p for p in kept if place[p] < cap]
+
+
+def test_twin_rule_work_is_pinned():
+    # F~aK? has twin classes {1, 2, 3} and {4, 5}.  compute_mur tries 1183
+    # pairs of the whole stream, and the twin rule lets 146 of them reach the
+    # minors; a change may lower this count, never raise it.
+    g = parse_graph6("F~aK?")
+    assert twin_classes(g) == [0b1110, 0b110000]
+    count = 0
+    minors = engine._minors
+
+    def spy(g, k, pairs):
+        def counted():
+            nonlocal count
+            for pair in pairs:
+                count += 1
+                yield pair
+
+        return minors(g, k, counted())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_minors", spy)
+        res = compute_mur(g)
+    assert res.value == 3 and res.lower_cert.kind == "minor_combination"
+    assert count == 146
 
 
 def test_minors_certificate_stops_the_search(monkeypatch):
