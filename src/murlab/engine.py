@@ -19,7 +19,7 @@ from operator import itemgetter, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .families import family_matches
-from .graphs import Graph, _bits, components, diameter, twin_classes
+from .graphs import Graph, components, diameter, earlier_twins
 from .matrices import (
     _back_substitute, _eliminate, charpoly, det_int, rank_algebraic, rank_rational, solve_int,
 )
@@ -629,18 +629,14 @@ class _Echelon:
         digits into the low words of its slot (one digit for heights below
         2**62), the words are read as one unsigned integer, and flipping
         then subtracting every word's top bit turns each word's two's
-        complement back into its signed value.  With one word per slot and
-        one digit, v's coordinates are the words, taken in one pass."""
+        complement back into its signed value."""
         step = self.width // 64
-        if step == self.digits == 1:
-            words = array("q", v)
-        else:
-            words = array("q", bytes(self.nbytes))
-            for i in range(self.digits - 1):
-                v = [x + (1 << 63) for x in v]
-                words[i::step] = array("q", [(x & (1 << 64) - 1) - (1 << 63) for x in v])
-                v = [x >> 64 for x in v]
-            words[self.digits - 1 :: step] = array("q", v)
+        words = array("q", bytes(self.nbytes))
+        for i in range(self.digits - 1):
+            v = [x + (1 << 63) for x in v]
+            words[i::step] = array("q", [(x & (1 << 64) - 1) - (1 << 63) for x in v])
+            v = [x >> 64 for x in v]
+        words[self.digits - 1 :: step] = array("q", v)
         if sys.byteorder == "big":
             words.reverse()
         return (int.from_bytes(words, sys.byteorder) ^ self.signs) - self.signs
@@ -674,10 +670,10 @@ def _minor_pairs(g: Graph, k: int, cap: int) -> Iterator[tuple[IndexSet, IndexSe
     ``minors_combination``) keeps of the first ``cap`` pairs of the
     lexicographic stream, made lazily.
 
-    Along the sorted vertices of each class of ``twin_classes``, membership
-    in a kept pair runs: R and C, then R only, then C only, then neither;
-    and at most one vertex of the class is in R only, at most one in C
-    only.  A subset's word holds three masks of the vertices that follow a
+    Along the sorted vertices of each class of twins (``earlier_twins``),
+    membership in a kept pair runs: R and C, then R only, then C only, then
+    neither; and at most one vertex of the class is in R only, at most one
+    in C only.  A subset's word holds three masks of the vertices that follow a
     twin in their class: ``lead``, the members that follow a non-member;
     ``a``, the members that follow a member; ``b``, the non-members that
     follow a non-member, shifted by 0, n and 2n bits.  R is in order when
@@ -692,13 +688,11 @@ def _minor_pairs(g: Graph, k: int, cap: int) -> Iterator[tuple[IndexSet, IndexSe
     """
     n = g.n
     full = (1 << n) - 1
-    classes = twin_classes(g)
-    members = sum(classes)
-    follows = []  # (the bit of v, the bit of the twin before v) for each class
-    for cls in classes:
-        verts = _bits(cls)
-        follows += [(1 << v, 1 << u) for u, v in zip(verts, verts[1:])]
+    earlier = earlier_twins(g)
+    # (the bit of v, the bit of the twin just before v) for each v with one
+    follows = [(1 << v, 1 << t.bit_length() - 1) for v, t in enumerate(earlier) if t]
     later = sum(bit for bit, _ in follows)
+    members = later | sum(before for _, before in follows)
     member_bits = [members & 1 << v for v in range(n)]
     known: dict[int, int] = {}  # a word, by the subset's mask of class members
 
@@ -738,7 +732,7 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
 
     The pairs (R, C) of k-subsets are tried in lexicographic order, R <= C
     only, since U is symmetric and minor(R, C) == minor(C, R).  Twins t and
-    v (``twin_classes``) are swapped by an automorphism, which fixes A, D
+    v (``earlier_twins``) are swapped by an automorphism, which fixes A, D
     and J and so U: det U[s(R), s(C)] = +-det U[R, C] for every permutation
     s inside the classes.  A pair is tried only if its membership along
     each class's sorted vertices runs R and C, then R only, then C only,

@@ -322,27 +322,30 @@ def _component_masks(g: Graph, within: int) -> list[int]:
     return parts
 
 
-def twin_classes(g: Graph) -> list[int]:
-    """Vertex masks of the classes of twins with two or more vertices, in the
-    order of their least vertices.
+def earlier_twins(g: Graph) -> list[int]:
+    """Entry v: the mask of the twins of v that come before it.
 
     t and v are twins when N(t) = N(v) (open twins, never adjacent) or
     N[t] = N[v] (closed twins, always adjacent).  No vertex has twins of
     both kinds: open twins t, v and a closed twin w of t would make w a
-    neighbour of v and v one of t.  So the classes are disjoint, and each
-    is one kind.  Swapping two twins is an automorphism.  Open twins of g
-    are closed twins of its complement, so both sides have the same classes.
+    neighbour of v and v one of t.  So the classes of twins are disjoint,
+    and each is one kind; a class is its last vertex's entry with that
+    vertex added.  Swapping two twins is an automorphism.  Open twins of g
+    are closed twins of its complement, so both sides get the same table.
 
-    One table serves both kinds: N(v) = N[u] is impossible, since u in
-    N(v) puts v in N(u), which is inside N[u] = N(v).  A class enters the
-    table at its least vertex.
+    One dict serves both kinds: N(v) = N[u] is impossible, since u in
+    N(v) puts v in N(u), which is inside N[u] = N(v).
     """
-    by_nbhd: dict[int, int] = {}  # N(v) and N[v] -> the vertices with it
+    earlier = [0] * g.n
+    by_nbhd: dict[int, int] = {}  # N(v) and N[v] -> the vertices seen with it
+    get = by_nbhd.get
     for v, row in enumerate(g.rows):
         bit = 1 << v
-        by_nbhd[row] = by_nbhd.get(row, 0) | bit
-        by_nbhd[row | bit] = by_nbhd.get(row | bit, 0) | bit
-    return [m for m in by_nbhd.values() if m & m - 1]
+        closed = row | bit
+        earlier[v] = get(row, 0) | get(closed, 0)
+        by_nbhd[row] = get(row, 0) | bit
+        by_nbhd[closed] = get(closed, 0) | bit
+    return earlier
 
 
 def diameter(g: Graph) -> float:

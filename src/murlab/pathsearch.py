@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _component_masks, twin_classes
+from .graphs import Graph, _bits, _component_masks, earlier_twins
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -58,15 +58,7 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
     """
     n = g.n
     rows = g.rows
-    twins = [0] * n
-    twinned = 0  # the vertices with an earlier twin
-    for cls in twin_classes(g):
-        rest = cls & cls - 1  # all but the least vertex
-        twinned |= rest
-        while rest:
-            low = rest & -rest
-            twins[low.bit_length() - 1] = cls & low - 1
-            rest ^= low
+    twins = earlier_twins(g)
     best_bound = -1
     best_mask = 0
     budget = node_budget
@@ -90,7 +82,7 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
             return
         bit = 1 << idx
         nbrs = rows[idx] & mask
-        if bit & twinned and twins[idx] & ~mask:
+        if twins[idx] & ~mask:
             pass  # an excluded earlier twin stood in for idx
         elif not nbrs:
             far[idx] = idx
