@@ -10,7 +10,6 @@ from .engine import (
     compute_mur,
     mur_lower,
     mur_spread,
-    mur_upper,
     regular_mur,
     family_mur,
     spread_bounds,
@@ -35,7 +34,6 @@ __all__ = [
     "family_mur",
     "mur_lower",
     "mur_spread",
-    "mur_upper",
     "parse_edge_list",
     "parse_graph6",
     "parse_report",

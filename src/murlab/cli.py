@@ -129,19 +129,24 @@ def cmd_batch(args) -> int:
     return EXIT_USAGE if errors else EXIT_OK
 
 
+def _print_checks(checks, verbose: bool) -> int:
+    """Print each failed check, and each passed one too when verbose; return
+    the number failed."""
+    failed = 0
+    for name, ok, msg in checks:
+        failed += not ok
+        if not ok or verbose:
+            print(f"{'PASS' if ok else 'FAIL'}  {name}  {msg}")
+    return failed
+
+
 def cmd_verify(args) -> int:
     try:
         checks = run_suite(args.suite, seed=args.seed)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    failed = 0
-    for name, ok, msg in checks:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failed += 1
-        if not ok or args.verbose:
-            print(f"{status}  {name}  {msg}")
+    failed = _print_checks(checks, args.verbose)
     print(f"{args.suite}: {len(checks) - failed}/{len(checks)} checks passed")
     return EXIT_VERIFY if failed else EXIT_OK
 
@@ -153,13 +158,7 @@ def cmd_replay(args) -> int:
     except (OSError, ReportError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    failed = 0
-    for check in checks:
-        status = "PASS" if check.ok else "FAIL"
-        if not check.ok:
-            failed += 1
-        if not check.ok or args.verbose:
-            print(f"{status}  {check.name}  {check.message}")
+    failed = _print_checks(checks, args.verbose)
     print(f"replay: {'ok' if not failed else f'{failed} checks failed'}")
     return EXIT_VERIFY if failed else EXIT_OK
 

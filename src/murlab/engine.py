@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .families import family_matches
 from .graphs import Graph, components, diameter, earlier_twins
 from .matrices import (
-    _back_substitute, _eliminate, charpoly, det_int, rank_algebraic, rank_rational, solve_int,
+    _back_substitute, _eliminate, charpoly, det_int, rank_algebraic, solve_int,
 )
 from .pathsearch import (
     DEFAULT_NODE_BUDGET,
@@ -870,12 +870,10 @@ def family_mur(g: Graph) -> Optional[tuple[int, Certificate]]:
 def structural_upper(g: Graph) -> tuple[int, Certificate]:
     """Best order, component or Laplacian-multiplicity bound; no parameter search.
 
-    Family formulas are not consulted: ``compute_mur`` and ``mur_upper`` try
-    ``family_mur`` first.
+    g has at least one vertex.  Family formulas are not consulted:
+    ``compute_mur`` settles the empty graph and tries ``family_mur`` first.
     """
     n = g.n
-    if n == 0:
-        return 0, Certificate("trivial")
     facts = graph_facts(g)
     bounds = [(n - 2, Certificate("order_bound", {}))] if n >= 2 else []
     for comp_side in (False, True):
@@ -949,16 +947,18 @@ def _line_eigenvalues(g: Graph, delta: Fraction) -> tuple[list[list[int]], list[
     return m, sorted(roots, key=lambda r: -r[1])
 
 
-def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> ParamPoint:
-    """The point of lowest rank with beta = -mu/s on the line of delta.
+def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> tuple[ParamPoint, int]:
+    """The point of lowest rank with beta = -mu/s on the line of delta, and
+    that rank.
 
     B = U(beta, 0, delta) is symmetric.  J = 11^T has rank one, so the rank
     of B + gamma*J is at least rank(B) - 1, and it reaches that exactly when
     B x = 1 has a solution with 1^T x != 0, at gamma = -1/(1^T x); otherwise
     gamma = 0 is best.  1^T x is the same for every solution, since B is
     symmetric and 1 is orthogonal to its kernel.  One elimination of
-    [s*B | 1] decides it: the system is solvable exactly when no row left
-    without a pivot has a nonzero right-hand side.
+    [s*B | 1] decides it: its pivots give rank(B), and the system is
+    solvable exactly when no row left without a pivot has a nonzero
+    right-hand side.
     """
     s = delta.denominator
     rows = [[x - mu if i == j else x for j, x in enumerate(row)] + [1] for i, row in enumerate(m)]
@@ -969,7 +969,8 @@ def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> ParamPoint:
         y, den = _back_substitute(rows, pivots)
         if sum(y):
             gamma = Fraction(-den, s * sum(y))
-    return ParamPoint(Fraction(-mu, s), gamma, delta)
+    rank = len(pivots) - 1 if gamma else len(pivots)
+    return ParamPoint(Fraction(-mu, s), gamma, delta), rank
 
 
 def search_lines(g: Graph, lower: int, upper: int, cert: Certificate) -> tuple[int, Certificate]:
@@ -988,8 +989,7 @@ def search_lines(g: Graph, lower: int, upper: int, cert: Certificate) -> tuple[i
         for mu, mult in eigenvalues:
             if n - mult - 1 >= upper:
                 break
-            p = _drop_point(m, mu, delta)
-            r = rank_rational(integer_universal_matrix(g, p))
+            p, r = _drop_point(m, mu, delta)
             if r < upper:
                 upper, cert = r, _param_cert(p, r)
     return upper, cert
@@ -1033,22 +1033,11 @@ def _upper_bounds(g: Graph, lower: int) -> Iterator[tuple[int, Certificate]]:
         yield found
 
 
-def mur_upper(g: Graph) -> tuple[int, Certificate]:
-    """Best certified upper bound: a family value, else the lowest the search reaches."""
-    fam = family_mur(g)
-    if fam is not None:
-        return fam
-    *_, last = _upper_bounds(g, 0)
-    return last
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 
 
-def compute_mur(
-    g: Graph, budget: Budget = DEFAULT_BUDGET, use_families: bool = True
-) -> MurResult:
+def compute_mur(g: Graph, budget: Budget = DEFAULT_BUDGET) -> MurResult:
     """Certified interval (exact whenever the two bounds meet).
 
     A family formula settles the value at once.  Otherwise a minors
@@ -1062,7 +1051,7 @@ def compute_mur(
         t = Certificate("trivial")
         return MurResult(0, t, 0, t)
     lower, lcert, exhausted = mur_lower(g, budget)
-    fam = family_mur(g) if use_families else None
+    fam = family_mur(g)
     if fam is not None:
         value, ucert = fam
         if lower > value:

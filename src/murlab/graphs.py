@@ -175,7 +175,7 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, rows)
 
 
-def encode_graph6(g: Graph, header: bool = False) -> str:
+def encode_graph6(g: Graph) -> str:
     n = g.n
     if n < 63:
         out = [n + 63]
@@ -193,8 +193,7 @@ def encode_graph6(g: Graph, header: bool = False) -> str:
                 acc, nb = 0, 0
     if nb:
         payload.append((acc << (6 - nb)) + 63)
-    text = "".join(map(chr, out + payload))
-    return GRAPH6_HEADER + text if header else text
+    return "".join(map(chr, out + payload))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -219,6 +218,8 @@ def parse_edge_list(text: str) -> Graph:
             for x in (u, v):
                 if not 0 <= x < MAX_VERTICES:
                     raise GraphError(f"line {lineno}: vertex index {x} outside 0..{MAX_VERTICES - 1}")
+            if u == v:
+                raise GraphError(f"line {lineno}: loop at vertex {u}")
             edges.append((u, v))
             top = max(top, u, v)
         elif not 0 <= count <= MAX_VERTICES:

@@ -1,9 +1,10 @@
 """Dense exact linear algebra.
 
-Ranks over the rationals and characteristic polynomials are computed over
-the integers, after scaling away the denominators: ranks, determinants and
-solves by one fraction-free (Bareiss) elimination whose every division is
-checked, characteristic polynomials by Berkowitz's division-free recursion.
+Ranks over the rationals are computed over the integers, after scaling
+away the denominators: ranks, determinants and solves by one fraction-free
+(Bareiss) elimination whose every division is checked.  Characteristic
+polynomials come from Berkowitz's division-free recursion, which takes
+integer matrices as they are.
 Rank over an algebraic extension Q[x]/(f) runs the same elimination on
 integer coefficient vectors in a root of a monic integer rescaling of f,
 with each division by a previous pivot checked too.  A pivot that is a zero
@@ -225,27 +226,22 @@ def rank_algebraic(m, modulus: Poly) -> list[tuple[Poly, int]]:
 def charpoly(m) -> Poly:
     """Monic characteristic polynomial det(xI - m) by Berkowitz's recursion.
 
-    The entries are scaled once to integers, b = s m with s the lcm of their
-    denominators, and the division-free recursion runs on b over the
-    integers.  The coefficient of x^(n-k) in det(xI - m) is then that of
-    det(xI - b) divided by s^k.
+    The recursion is division-free, so it runs on the entries as they are:
+    over the integers for an integer matrix, and exactly for rational ones.
     """
     nr, nc = dimensions(m)
     if nr != nc:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    s = lcm(*(x.denominator for row in m for x in row))
-    b = [[x.numerator * (s // x.denominator) for x in row] for row in m]
-    c = [1]  # det(xI - b_r) for the leading r x r block b_r, highest degree first
+    c = [1]  # det(xI - m_r) for the leading r x r block m_r, highest degree first
     for r in range(nr):
-        # With b_{r+1} = [[b_r, v], [w, b[r][r]]], det(xI - b_{r+1}) is the
-        # product of c with t = (1, -b[r][r], -w v, -w b_r v, ..., -w b_r^(r-1) v),
+        # With m_{r+1} = [[m_r, v], [w, m[r][r]]], det(xI - m_{r+1}) is the
+        # product of c with t = (1, -m[r][r], -w v, -w m_r v, ..., -w m_r^(r-1) v),
         # truncated to degree r + 1.
-        rows = [[(j, x) for j, x in enumerate(b[i][:r]) if x] for i in range(r + 1)]
-        v = [b[i][r] for i in range(r)]
-        t = [1, -b[r][r]]
+        rows = [[(j, x) for j, x in enumerate(m[i][:r]) if x] for i in range(r + 1)]
+        v = [m[i][r] for i in range(r)]
+        t = [1, -m[r][r]]
         for _ in range(r):
             t.append(-sum(x * v[j] for j, x in rows[r]))
             v = [sum(x * v[j] for j, x in row) for row in rows[:r]]
         c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return Poly(Fraction(c[k], s**k) for k in range(nr, -1, -1))
-
+    return Poly(reversed(c))

@@ -30,10 +30,6 @@ class PathForestResult:
     witness: PathForestWitness | None
     exact: bool
 
-    @property
-    def bound(self) -> int:
-        return self.witness.bound if self.witness is not None else 0
-
 
 def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PathForestResult:
     """Maximize the path-forest lower bound over induced linear forests.

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import (
     Budget,
@@ -110,8 +109,9 @@ def parse_report(text: str) -> dict:
 # replay
 
 
-@dataclass
-class ReplayCheck:
+class Check(NamedTuple):
+    """One named check of a replay or a verify suite, and what it found."""
+
     name: str
     ok: bool
     message: str = ""
@@ -316,7 +316,7 @@ def _replay_certificate(replay, g: Graph, cert: dict) -> tuple[Optional[int], st
         return None, f"unreadable certificate data: {type(exc).__name__}: {exc}"
 
 
-def replay_report(doc: dict) -> list[ReplayCheck]:
+def replay_report(doc: dict) -> list[Check]:
     """Re-check every certificate in a report document.
 
     A document without the fields replay needs raises ReportError; a
@@ -332,14 +332,14 @@ def replay_report(doc: dict) -> list[ReplayCheck]:
     same = g.n == gdesc["order"] and sorted(g.edges()) == sorted(
         tuple(e) for e in gdesc["edges"]
     )
-    checks.append(ReplayCheck("graph descriptor consistent", same))
+    checks.append(Check("graph descriptor consistent", same))
     res = doc["result"]
     lower, upper = res["lower"], res["upper"]
     ok = 0 <= lower <= upper
-    checks.append(ReplayCheck("bounds ordered", ok, f"[{lower}, {upper}]"))
+    checks.append(Check("bounds ordered", ok, f"[{lower}, {upper}]"))
     value, msg = _replay_certificate(_replay_lower, g, doc["lower_certificate"])
     checks.append(
-        ReplayCheck(
+        Check(
             "lower certificate",
             value is not None and value >= lower,
             msg or f"certified {value}, claimed {lower}",
@@ -347,7 +347,7 @@ def replay_report(doc: dict) -> list[ReplayCheck]:
     )
     value, msg = _replay_certificate(_replay_upper, g, doc["upper_certificate"])
     checks.append(
-        ReplayCheck(
+        Check(
             "upper certificate",
             value is not None and value <= upper,
             msg or f"certified {value}, claimed {upper}",
@@ -356,13 +356,11 @@ def replay_report(doc: dict) -> list[ReplayCheck]:
     exact_ok = res["exact"] == (lower == upper) and (
         res["value"] == (lower if lower == upper else None)
     )
-    checks.append(ReplayCheck("exactness flag", exact_ok))
+    checks.append(Check("exactness flag", exact_ok))
     if "spread" in doc:
         sp = doc["spread"]
         inner = replay_report(sp["deleted"])
-        checks.extend(
-            ReplayCheck(f"deleted-graph {c.name}", c.ok, c.message) for c in inner
-        )
+        checks.extend(c._replace(name=f"deleted-graph {c.name}") for c in inner)
         dres = sp["deleted"]["result"]
         arith = (
             sp["lower"] == lower - dres["upper"]
@@ -378,5 +376,5 @@ def replay_report(doc: dict) -> list[ReplayCheck]:
             problem = f"exact flag {sp.get('exact')!r} for [{sp['lower']}, {sp['upper']}]"
         else:
             problem = ""
-        checks.append(ReplayCheck("spread arithmetic", arith and not problem, problem))
+        checks.append(Check("spread arithmetic", arith and not problem, problem))
     return checks

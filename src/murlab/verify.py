@@ -1,7 +1,7 @@
 """Named verification suites: each re-checks a body of exact results.
 
 The suites back both the ``murlab verify`` subcommand and the test
-suite.  Every check returns (name, ok, message).
+suite.  Every check is a ``report.Check``, (name, ok, message).
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .engine import (
 from .graphs import Graph
 from .matrices import rank_algebraic, rank_rational
 from .polynomials import Poly
-
-Check = tuple[str, bool, str]
+from .report import Check
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
@@ -45,7 +44,7 @@ def _random_point(rng: random.Random) -> ParamPoint:
 def _exact_check(name: str, g: Graph, want: int) -> Check:
     res = compute_mur(g, Budget())
     ok = res.exact and res.value == want
-    return name, ok, f"got [{res.lower}, {res.upper}], want {want}"
+    return Check(name, ok, f"got [{res.lower}, {res.upper}], want {want}")
 
 
 def _branch_check(name: str, n: int, modulus: tuple[int, ...], gamma: tuple) -> Check:
@@ -57,7 +56,7 @@ def _branch_check(name: str, n: int, modulus: tuple[int, ...], gamma: tuple) -> 
     p = ParamPoint(-theta, Poly(gamma), theta)
     branches = rank_algebraic(universal_matrix(graphs.p_prime(n), p), f)
     msg = "; ".join(f"branch {b!r} rank {r}" for b, r in branches)
-    return f"fixture {name}", all(r == n - 2 for _, r in branches), msg
+    return Check(f"fixture {name}", all(r == n - 2 for _, r in branches), msg)
 
 
 # U(1, 1, -1/3, -1) of the path on 3 vertices, of rank 1.
@@ -72,17 +71,18 @@ PATH3_SHIFT_MATRIX = [
 # suites
 
 
-def suite_complements(seed: int = 0, trials: int = 100) -> list[Check]:
-    """Rank is preserved under the complement parameter transfer."""
+def suite_complements(seed: int = 0) -> list[Check]:
+    """Rank is preserved under the complement parameter transfer, on 100
+    seeded graphs and points."""
     rng = random.Random(seed)
     out = []
-    for t in range(trials):
+    for t in range(100):
         n = rng.randint(1, 6)
         g = _random_graph(rng, n)
         p = _random_point(rng)
         r1 = rank_rational(integer_universal_matrix(g, p))
         r2 = rank_rational(integer_universal_matrix(g.complement(), complement_params(g, p)))
-        out.append((f"complement transfer #{t} (n={n})", r1 == r2, f"{r1} vs {r2}"))
+        out.append(Check(f"complement transfer #{t} (n={n})", r1 == r2, f"{r1} vs {r2}"))
     return out
 
 
@@ -105,13 +105,8 @@ def suite_spread_bounds() -> list[Check]:
             blo, bhi = spread_bounds(g, v)
             sp = mur_spread(g, v)  # raises if the interval misses the bounds
             inside = blo <= sp.lower and sp.upper <= bhi
-            out.append(
-                (
-                    f"spread bounds {name} v={v}",
-                    inside,
-                    f"[{sp.lower}, {sp.upper}] within [{blo}, {bhi}]",
-                )
-            )
+            msg = f"[{sp.lower}, {sp.upper}] within [{blo}, {bhi}]"
+            out.append(Check(f"spread bounds {name} v={v}", inside, msg))
     return out
 
 
@@ -136,8 +131,8 @@ def suite_union_lower() -> list[Check]:
         msg = f"{ra.value}+{rb.value} vs union {ru.value}"
         lower_ok = ok and ra.value + rb.value <= ru.value
         upper_ok = ok and ru.value <= ra.value + b.n + 1
-        out.append((f"union lower {name}", lower_ok, msg))
-        out.append((f"union upper {name}", upper_ok, msg))
+        out.append(Check(f"union lower {name}", lower_ok, msg))
+        out.append(Check(f"union upper {name}", upper_ok, msg))
     return out
 
 
@@ -223,7 +218,7 @@ def suite_pprime() -> list[Check]:
         res = compute_mur(graphs.p_prime(n))
         ok = res.exact and res.value == n - 1 and res.lower_cert.kind == "minor_combination"
         msg = f"got [{res.lower}, {res.upper}] ({res.lower_cert.describe()}), want {n - 1}"
-        out.append((f"P'{n}", ok, msg))
+        out.append(Check(f"P'{n}", ok, msg))
     # P'8 and P'10 reach rank n - 2 only at irrational points, checked on
     # every branch: delta = theta, beta = -theta over Q[x]/(x^2 - x - 1),
     # and over Q[x]/(x^3 - x^2 - 2x + 1), the minimal polynomial of
@@ -237,7 +232,7 @@ def suite_pprime() -> list[Check]:
     r = rank_rational(m)
     pinned = m == PATH3_SHIFT_MATRIX
     msg = f"rank {r}" if pinned else f"matrix mismatch; rank {r}"
-    out.append(("fixture path-laplacian-shift", pinned and r == 1, msg))
+    out.append(Check("fixture path-laplacian-shift", pinned and r == 1, msg))
     return out
 
 

@@ -1,17 +1,21 @@
 """Helpers shared by several test modules."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import inf
 
 import pytest
 from hypothesis import strategies as st
 
+from murlab import engine
 from murlab.engine import (
     DEFAULT_BUDGET,
     Budget,
     Certificate,
     _apex_family_value,
     _forest_certificate,
+    _upper_bounds,
+    family_mur,
     graph_facts,
     regular_mur,
 )
@@ -190,3 +194,23 @@ def reference_family_mur(g: Graph):
             if n >= 3:
                 return n - 2, cert(m, n - 2)
     return None
+
+
+@contextmanager
+def without_families():
+    """compute_mur as if no family formula applied: the bounds pipeline's
+    own interval, for a cross-check against the formulas."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "family_mur", lambda g: None)
+        yield
+
+
+def reference_mur_upper(g: Graph) -> tuple[int, Certificate]:
+    """The upper bound and certificate of the removed ``mur_upper``, kept as
+    a reference: a family value, else the lowest the delta search reaches,
+    searched down to 0."""
+    fam = family_mur(g)
+    if fam is not None:
+        return fam
+    *_, last = _upper_bounds(g, 0)
+    return last

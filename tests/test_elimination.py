@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from murlab import engine, matrices
-from murlab.engine import ParamPoint, _delta_lines, _drop_point, _line_eigenvalues
+from murlab.engine import (
+    ParamPoint, _delta_lines, _drop_point, _line_eigenvalues, integer_universal_matrix,
+)
 from murlab.graphs import cycle
 from murlab.matrices import _back_substitute, _eliminate, det_int, rank_rational, solve_int
 from helpers import atlas7
@@ -191,7 +193,9 @@ def test_drop_points_on_every_delta_line_of_the_seven_vertex_atlas():
         for delta in [*_delta_lines(g), Fraction(-1)]:
             m, eigenvalues = _line_eigenvalues(g, delta)
             for mu, _ in eigenvalues:
-                assert _drop_point(m, mu, delta) == reference_drop_point(m, mu, delta)
+                p, rank = _drop_point(m, mu, delta)
+                assert p == reference_drop_point(m, mu, delta)
+                assert rank == rank_rational(integer_universal_matrix(g, p))
                 tried += 1
     assert tried > 10000
 

@@ -21,7 +21,6 @@ from murlab.engine import (
     minors_combination,
     mur_lower,
     mur_spread,
-    mur_upper,
     regular_mur,
     search_lines,
     spread_bounds,
@@ -52,6 +51,8 @@ from helpers import (
     graphs_strategy,
     reference_family_mur,
     reference_mur_lower,
+    reference_mur_upper,
+    without_families,
 )
 
 # The grid and seeded random points of the old 3-D candidate stream, kept
@@ -121,10 +122,19 @@ def test_mur_lower_examples():
 
 
 def test_mur_upper_examples():
-    assert mur_upper(cycle(6))[0] == 3
-    assert mur_upper(complete(5))[0] == 0
-    up, cert = mur_upper(disjoint_union([complete(3), empty(2)]))
-    assert up == 1
+    assert compute_mur(cycle(6)).upper == 3
+    assert compute_mur(complete(5)).upper == 0
+    assert compute_mur(disjoint_union([complete(3), empty(2)])).upper == 1
+
+
+def test_upper_bound_matches_the_reference():
+    # compute_mur stops the delta search once it meets the lower bound; no
+    # rank below a certified lower bound exists, so the whole search would
+    # end on the same bound and certificate.
+    graphs = atlas7() + [g for _, g, _ in family_checks()]
+    for g in graphs:
+        res = compute_mur(g)
+        assert (res.upper, res.upper_cert) == reference_mur_upper(g), g
 
 
 def test_compute_mur_examples():
@@ -139,7 +149,8 @@ def test_compute_mur_examples():
 def test_compute_mur_without_family_shortcuts():
     for g in (cycle(6), complete_bipartite(3, 3), disjoint_union([cycle(4), cycle(4)])):
         exact = compute_mur(g)
-        res = compute_mur(g, use_families=False)
+        with without_families():
+            res = compute_mur(g)
         assert res.lower <= exact.value <= res.upper
 
 
@@ -180,7 +191,7 @@ def _line_points(g, data):
     for delta in engine._delta_lines(g):
         m, eigenvalues = engine._line_eigenvalues(g, delta)
         for mu, _ in eigenvalues:
-            p = engine._drop_point(m, mu, delta)
+            p, _ = engine._drop_point(m, mu, delta)
             yield p
             yield ParamPoint(p.beta, data.draw(fr), delta)
 
@@ -287,7 +298,7 @@ def assert_minus_one_line_dominated(g):
     upper = engine.structural_upper(g)[0]
     m, eigenvalues = engine._line_eigenvalues(g, Fraction(-1))
     for mu, _ in eigenvalues:
-        p = engine._drop_point(m, mu, Fraction(-1))
+        p, _ = engine._drop_point(m, mu, Fraction(-1))
         assert rank_rational(engine.integer_universal_matrix(g, p)) >= upper, (g, mu)
 
 
@@ -892,15 +903,16 @@ def test_minors_certificate_stops_the_search(monkeypatch):
     # The search reaches rank 3 on one of the first delta lines, where a
     # minors combination certifies 3; the other lines must not be searched.
     calls = []
+    take = engine._drop_point
 
-    def counted(m):
+    def counted(m, mu, delta):
         calls.append(1)
-        return rank_rational(m)
+        return take(m, mu, delta)
 
-    monkeypatch.setattr(engine, "rank_rational", counted)
+    monkeypatch.setattr(engine, "_drop_point", counted)
     res = compute_mur(parse_graph6("Fj[??"), Budget())
     assert res.value == 3 and res.lower_cert.kind == "minor_combination"
-    assert len(calls) < 100
+    assert 0 < len(calls) < 100
 
 
 @pytest.mark.parametrize("g6", ["Fpa?g", "Fgog_"])

@@ -150,6 +150,8 @@ def test_edge_list_parsing():
         parse_edge_list("0 1 2")
     with pytest.raises(GraphError):
         parse_edge_list("0 0")
+    with pytest.raises(GraphError, match=r"^line 2: loop at vertex 2$"):
+        parse_edge_list("0 1\n2 2\n")
     for index in (-1, 64, 10**15):
         with pytest.raises(GraphError, match=rf"^line 2: vertex index {index} outside 0\.\.63$"):
             parse_edge_list(f"n=3\n{index} 0\n")

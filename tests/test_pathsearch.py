@@ -54,9 +54,9 @@ def _component_sizes(g):
 
 
 def test_forest_examples():
-    assert best_induced_path_forest(disjoint_union([path(3), path(3)])).bound == 3
-    assert best_induced_path_forest(disjoint_union([path(5), empty(1)])).bound == 4
-    assert best_induced_path_forest(complete(4)).bound == 0
+    assert best_induced_path_forest(disjoint_union([path(3), path(3)])).witness.bound == 3
+    assert best_induced_path_forest(disjoint_union([path(5), empty(1)])).witness.bound == 4
+    assert best_induced_path_forest(complete(4)).witness.bound == 0
     assert best_induced_path_forest(empty(3)).witness is None
 
 
@@ -81,7 +81,7 @@ def test_forest_matches_brute_force(g):
     if expected is None:
         assert res.witness is None
     else:
-        assert res.bound == expected
+        assert res.witness.bound == expected
         assert validate_path_forest(g, res.witness)
 
 
@@ -94,7 +94,7 @@ def test_diameter_below_longest_path(g):
 
     if components(g)[0] != 1:
         return
-    assert diameter(g) - 1 <= best_induced_path_forest(g).bound
+    assert diameter(g) - 1 <= _score(best_induced_path_forest(g))
 
 
 def test_witness_validation_rejects_garbage():

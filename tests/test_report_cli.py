@@ -335,7 +335,7 @@ def test_cli_mur_bad_input(capsys):
 @pytest.mark.parametrize(
     "text, line",
     [("0 1\na b\n", 2), ("n=x\n0 1\n", 1), ("n=-3\n", 1), ("0 1\nn=65\n", 2),
-     ("0 -1\n", 1), ("0 64\n", 1), ("0 1000000000000000\n", 1)],
+     ("0 -1\n", 1), ("0 64\n", 1), ("0 1000000000000000\n", 1), ("0 1\n2 2\n", 2)],
 )
 def test_cli_mur_edge_list_with_a_bad_token(tmp_path, capsys, text, line):
     f = tmp_path / "g.txt"
