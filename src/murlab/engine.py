@@ -973,8 +973,10 @@ def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> tuple[ParamPoin
     return ParamPoint(Fraction(-mu, s), gamma, delta), rank
 
 
-def search_lines(g: Graph, lower: int, upper: int, cert: Certificate) -> tuple[int, Certificate]:
-    """The lowest rank found on the delta lines, if below ``upper``.
+def search_lines(
+    g: Graph, lower: int, upper: int, cert: Certificate, deltas: Iterable[Fraction]
+) -> tuple[int, Certificate]:
+    """The lowest rank found on the lines of ``deltas``, if below ``upper``.
 
     A + delta*D is symmetric, so rank(A + beta*I + delta*D) = n - mult(lambda)
     at beta = -lambda for an eigenvalue lambda, and n elsewhere; each
@@ -982,7 +984,7 @@ def search_lines(g: Graph, lower: int, upper: int, cert: Certificate) -> tuple[i
     at its ``_drop_point``.  The search stops once it reaches ``lower``.
     """
     n = g.n
-    for delta in _delta_lines(g):
+    for delta in deltas:
         if upper <= lower:
             break
         m, eigenvalues = _line_eigenvalues(g, delta)
@@ -1024,11 +1026,19 @@ def _refine_algebraic(g, lower, upper, ucert):
 
 
 def _upper_bounds(g: Graph, lower: int) -> Iterator[tuple[int, Certificate]]:
-    """The structural upper bound, then the bound the delta search lowers
-    it to, if any; the search stops once the bound reaches ``lower``."""
-    upper, cert = structural_upper(g)
+    """The structural upper bound as the delta = 0 line lowers it, then the
+    bound the other lines lower that to, if any; the search stops once the
+    bound reaches ``lower``.
+
+    The first line runs before the first minors attempt, and the others
+    only after it fails.  A point of rank r < k makes every k x k minor of
+    U vanish there, so no combination of them is identically 1: an attempt
+    at a bound that line has already lowered could only fail.
+    """
+    first, *rest = _delta_lines(g)
+    upper, cert = search_lines(g, lower, *structural_upper(g), [first])
     yield upper, cert
-    found = search_lines(g, lower, upper, cert)
+    found = search_lines(g, lower, upper, cert, rest)
     if found[0] < upper:
         yield found
 
@@ -1041,10 +1051,11 @@ def compute_mur(g: Graph, budget: Budget = DEFAULT_BUDGET) -> MurResult:
     """Certified interval (exact whenever the two bounds meet).
 
     A family formula settles the value at once.  Otherwise a minors
-    combination is tried at the structural upper bound and, if that fails,
-    once more at the bound the search brings it to; the search stops as
-    soon as the two bounds meet.  If the attempt at the final upper bound u
-    fails, one more at u - 1 may still raise the lower bound.
+    combination is tried at the structural upper bound, as the delta = 0
+    line lowers it, and, if that fails, once more at the bound the other
+    lines bring it to; the search stops as soon as the two bounds meet.  If
+    the attempt at the final upper bound u fails, one more at u - 1 may
+    still raise the lower bound.
     """
     n = g.n
     if n == 0:

@@ -3,11 +3,17 @@
 Coefficients are stored lowest degree first as `fractions.Fraction`
 values with trailing zeros stripped; the zero polynomial has an empty
 coefficient tuple.
+
+``poly_gcd`` and ``squarefree_decomposition`` work on integer coefficient
+lists: they clear denominators, take gcds by primitive pseudo-remainders and
+divide exactly over the integers, and make only their results monic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable
 
 
@@ -153,11 +159,83 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _integers(p: Poly) -> list[int]:
+    """p scaled by the lcm of its denominators to integer coefficients."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    g = gcd(*a)
+    if a and a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the remainder of c*a by b, for a nonzero
+    integer c that keeps every step of the division integral; b is
+    nonzero."""
+    rem, d, lead = list(a), len(b) - 1, b[-1]
+    while len(rem) > d:
+        top = rem.pop()
+        g = gcd(top, lead)
+        s, t = lead // g, top // g
+        shift = len(rem) - d
+        rem = [s * x for x in rem]
+        for j, y in enumerate(b[:-1]):
+            rem[shift + j] -= t * y
+        while rem and not rem[-1]:
+            rem.pop()
+    return _primitive(rem)
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two primitive integer polynomials, by primitive
+    pseudo-remainders; [] for gcd(0, 0)."""
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+    return a
+
+
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b over the integers; ArithmeticError if it leaves a remainder.
+
+    By Gauss's lemma the quotient of an integer polynomial by a primitive
+    divisor over the rationals has integer coefficients, so every step of
+    the long division is exact for the divisions this module makes.
+    """
+    rem, d, lead = list(a), len(b) - 1, b[-1]
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + d], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            quot[i] = c
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    if any(rem[:d]):
+        raise ArithmeticError("inexact polynomial division")
+    return quot
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a) if i]
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    g = _gcd(_primitive(_integers(a)), _primitive(_integers(b)))
+    return Poly(g).monic()
 
 
 def check_modulus(f: Poly) -> Poly:
@@ -172,34 +250,33 @@ def check_modulus(f: Poly) -> Poly:
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm over the rationals.
+    """Yun's algorithm, run over the integers on the primitive part of p.
 
     Returns monic, squarefree, pairwise coprime factors with strictly
     increasing exponents such that p equals its leading coefficient times
-    the product of factor**exponent.
+    the product of factor**exponent.  Every gcd is primitive, so every
+    division by one is exact over the integers.
     """
     if p.is_zero():
         raise ValueError("squarefree decomposition of the zero polynomial")
-    p = p.monic()
     if p.degree < 1:
         return []
-    d = p.derivative()
-    g = poly_gcd(p, d)
-    if g.degree == 0:
-        return [(p, 1)]
+    f = _primitive(_integers(p))
+    d = _derivative(f)
+    g = _gcd(f, _primitive(d))
+    if len(g) == 1:
+        return [(Poly(f).monic(), 1)]
     out: list[tuple[Poly, int]] = []
-    w = p.exact_div(g)
-    y = d.exact_div(g)
-    z = y - w.derivative()
+    w = _exact_div(f, g)
+    z = _sub(_exact_div(d, g), _derivative(w))
     i = 1
-    while w.degree > 0:
-        gi = poly_gcd(w, z)
-        if gi.degree > 0:
-            out.append((gi, i))
-            w = w.exact_div(gi)
-            z = z.exact_div(gi)
-        y = z
-        z = y - w.derivative()
+    while len(w) > 1:
+        gi = _gcd(w, _primitive(z))
+        if len(gi) > 1:
+            out.append((Poly(gi).monic(), i))
+            w = _exact_div(w, gi)
+            z = _exact_div(z, gi)
+        z = _sub(z, _derivative(w))
         i += 1
     return out
 

@@ -13,11 +13,14 @@ from murlab.engine import (
     Budget,
     Certificate,
     _apex_family_value,
+    _delta_lines,
     _forest_certificate,
     _upper_bounds,
     family_mur,
     graph_facts,
     regular_mur,
+    search_lines,
+    structural_upper,
 )
 from murlab.families import FamilyMatch, family_matches
 from murlab.graphs import Graph, diameter
@@ -214,3 +217,16 @@ def reference_mur_upper(g: Graph) -> tuple[int, Certificate]:
         return fam
     *_, last = _upper_bounds(g, 0)
     return last
+
+
+# The upper bounds as they were before the delta = 0 line ran ahead of the
+# first minors attempt, kept verbatim as a reference; the one change is
+# that search_lines is given the lines to search.
+def reference_upper_bounds(g: Graph, lower: int):
+    """The structural upper bound, then the bound the delta search lowers
+    it to, if any; the search stops once the bound reaches ``lower``."""
+    upper, cert = structural_upper(g)
+    yield upper, cert
+    found = search_lines(g, lower, upper, cert, _delta_lines(g))
+    if found[0] < upper:
+        yield found

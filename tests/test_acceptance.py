@@ -16,6 +16,7 @@ import pytest
 from murlab.engine import (
     Budget,
     Certificate,
+    _delta_lines,
     compute_mur,
     laplacian,
     minors_combination,
@@ -197,7 +198,7 @@ def test_criterion_3_spread_value_two_unattainable():
     replayed = cert and _replay_lower(g, {"kind": cert.kind, "data": cert.data})
     if not replayed or replayed[0] != 3:
         failures.append(f"3x3 minors certificate {cert} replays to {replayed}, want 3")
-    _, found = search_lines(g, 3, g.n, Certificate("trivial"))
+    _, found = search_lines(g, 3, g.n, Certificate("trivial"), _delta_lines(g))
     if found.kind != "explicit_params":
         failures.append(f"no point of rank 3 on the delta lines ({found.describe()})")
     elif rank_rational(universal_matrix(g, _parse_point(found.data))) != 3:

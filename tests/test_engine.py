@@ -52,6 +52,7 @@ from helpers import (
     reference_family_mur,
     reference_mur_lower,
     reference_mur_upper,
+    reference_upper_bounds,
     without_families,
 )
 
@@ -135,6 +136,26 @@ def test_upper_bound_matches_the_reference():
     for g in graphs:
         res = compute_mur(g)
         assert (res.upper, res.upper_cert) == reference_mur_upper(g), g
+
+
+def test_delta_zero_line_first_keeps_every_result():
+    # The delta = 0 line runs before the first minors attempt, which is
+    # skipped when that line's point refutes it; every result stays as with
+    # the whole search after that attempt.
+    family = [g for _, g, _ in family_checks()]
+    graphs = atlas7()[::5] + family + [p_prime(n) for n in range(4, 13)]
+
+    def results():
+        with without_families():
+            shortcut_free = [compute_mur(g) for g in family]
+        return [compute_mur(g) for g in graphs] + shortcut_free
+
+    got = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_upper_bounds", reference_upper_bounds)
+        want = results()
+    for g, a, b in zip(graphs + family, got, want):
+        assert a == b, g
 
 
 def test_compute_mur_examples():
@@ -276,7 +297,7 @@ def test_search_never_above_an_old_candidate(g):
     # On each line the search finds the lowest rank over all rational
     # (beta, gamma); the structured lines reach as low as any old candidate.
     old = list(_old_candidates(g))
-    upper, cert = search_lines(g, 0, *engine.structural_upper(g))
+    upper, cert = search_lines(g, 0, *engine.structural_upper(g), engine._delta_lines(g))
     assert upper <= min(rank_rational(universal_matrix(g, p)) for p in old)
     if cert.kind == "explicit_params":
         p = ParamPoint.rational(*(Fraction(cert.data[k]) for k in ("beta", "gamma", "delta")))
@@ -875,8 +896,8 @@ def test_twin_rule_skips_only_zero_or_repeated_minors():
 
 
 def test_twin_rule_work_is_pinned():
-    # F~aK? has twin classes {1, 2, 3} and {4, 5}.  compute_mur tries 1183
-    # pairs of the whole stream, and the twin rule lets 146 of them reach the
+    # F~aK? has twin classes {1, 2, 3} and {4, 5}.  compute_mur tries 553
+    # pairs of the whole stream, and the twin rule lets 70 of them reach the
     # minors; a change may lower this count, never raise it.
     g = parse_graph6("F~aK?")
     assert earlier_twins(g) == [0, 0, 0b10, 0b110, 0, 0b10000, 0]
@@ -896,23 +917,46 @@ def test_twin_rule_work_is_pinned():
         mp.setattr(engine, "_minors", spy)
         res = compute_mur(g)
     assert res.value == 3 and res.lower_cert.kind == "minor_combination"
-    assert count == 146
+    assert count == 70
+
+
+def spy_on(monkeypatch, name):
+    """The arguments of every call to ``engine.<name>``, which still runs."""
+    calls = []
+    take = getattr(engine, name)
+
+    def counted(*args):
+        calls.append(args)
+        return take(*args)
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
 
 
 def test_minors_certificate_stops_the_search(monkeypatch):
-    # The search reaches rank 3 on one of the first delta lines, where a
-    # minors combination certifies 3; the other lines must not be searched.
-    calls = []
-    take = engine._drop_point
+    # The delta = 0 line lowers the structural upper bound 5 to 4, where a
+    # minors combination certifies 4; the other lines must not be searched,
+    # and no attempt is made at 5, which that line's point refutes.
+    lines = spy_on(monkeypatch, "_line_eigenvalues")
+    attempts = spy_on(monkeypatch, "minors_combination")
+    g = parse_graph6("FJO`?")
+    res = compute_mur(g, Budget())
+    assert res.value == 4 and res.lower_cert.kind == "minor_combination"
+    assert res.lower_cert.data["k"] == 4
+    assert lines == [(g, Fraction(0))]
+    assert [k for _, k in attempts] == [4]
 
-    def counted(m, mu, delta):
-        calls.append(1)
-        return take(m, mu, delta)
 
-    monkeypatch.setattr(engine, "_drop_point", counted)
-    res = compute_mur(parse_graph6("Fj[??"), Budget())
-    assert res.value == 3 and res.lower_cert.kind == "minor_combination"
-    assert 0 < len(calls) < 100
+@pytest.mark.parametrize("n", [7, 11])
+def test_no_minors_attempt_the_delta_zero_line_refutes(monkeypatch, n):
+    # The structural upper bound of P'n is n - 1, and the delta = 0 line
+    # finds a point of rank n - 2, the path-forest bound: the value is
+    # settled with no minors attempt at all.
+    attempts = spy_on(monkeypatch, "minors_combination")
+    res = compute_mur(p_prime(n))
+    assert res.interval() == (n - 2, n - 2)
+    assert res.upper_cert.kind == "explicit_params"
+    assert attempts == []
 
 
 @pytest.mark.parametrize("g6", ["Fpa?g", "Fgog_"])

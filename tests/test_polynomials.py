@@ -1,9 +1,60 @@
+"""Dense polynomials, integer roots, and the integer gcd and squarefree
+decomposition.
+
+The Fraction gcd and Yun loop that the integer kernel replaced are kept
+here verbatim as references (the gcd renamed)."""
+
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from murlab import polynomials
+from murlab.engine import laplacian
+from murlab.matrices import charpoly
 from murlab.polynomials import Poly, integer_roots, poly_gcd, squarefree_decomposition
-from helpers import root_multiplicity, x_minus
+from murlab.verify import family_checks
+from helpers import atlas7, root_multiplicity, x_minus
+
+
+def reference_poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor; gcd(0, 0) = 0."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def reference_squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm over the rationals.
+
+    Returns monic, squarefree, pairwise coprime factors with strictly
+    increasing exponents such that p equals its leading coefficient times
+    the product of factor**exponent.
+    """
+    if p.is_zero():
+        raise ValueError("squarefree decomposition of the zero polynomial")
+    p = p.monic()
+    if p.degree < 1:
+        return []
+    d = p.derivative()
+    g = reference_poly_gcd(p, d)
+    if g.degree == 0:
+        return [(p, 1)]
+    out: list[tuple[Poly, int]] = []
+    w = p.exact_div(g)
+    y = d.exact_div(g)
+    z = y - w.derivative()
+    i = 1
+    while w.degree > 0:
+        gi = reference_poly_gcd(w, z)
+        if gi.degree > 0:
+            out.append((gi, i))
+            w = w.exact_div(gi)
+            z = z.exact_div(gi)
+        y = z
+        z = y - w.derivative()
+        i += 1
+    return out
 
 
 def P(*coeffs):
@@ -106,3 +157,46 @@ def test_squarefree_reconstructs(factors, scale):
         for _ in range(e):
             rebuilt = rebuilt * g
     assert rebuilt == p
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+factor = st.lists(small, min_size=1, max_size=3).map(lambda cs: Poly([*cs, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(factor, st.integers(1, 4)), min_size=1, max_size=4),
+    small.filter(bool),
+    factor,
+)
+def test_integer_kernel_matches_the_rational_reference(planted, scale, other):
+    # Rational factors of degree 1 to 3 (some may share roots) planted with
+    # repeats: the integer kernel gives the rational loop's factors.
+    p = Poly((scale,))
+    for f, e in planted:
+        for _ in range(e):
+            p = p * f
+    assert squarefree_decomposition(p) == reference_squarefree_decomposition(p)
+    for a, b in ((p, p.derivative()), (p, other * planted[0][0]), (other, p), (p * 3, Poly())):
+        assert poly_gcd(a, b) == reference_poly_gcd(a, b)
+
+
+def test_integer_kernel_on_the_laplacian_polynomials():
+    graphs = atlas7() + [g for _, g, _ in family_checks()]
+    for g in graphs:
+        p = charpoly(laplacian(g))
+        assert squarefree_decomposition(p) == reference_squarefree_decomposition(p), g
+        assert poly_gcd(p, p.derivative()) == reference_poly_gcd(p, p.derivative()), g
+
+
+def test_inexact_division_raises(monkeypatch):
+    # 2x divides 3x and 2x + 2 divides x + 1 over Q, not over Z; x + 1 does
+    # not divide x^2 + 1.
+    for a, b in (([0, 3], [0, 2]), ([1, 1], [2, 2]), ([1, 0, 1], [1, 1])):
+        with pytest.raises(ArithmeticError):
+            polynomials._exact_div(a, b)
+    assert polynomials._exact_div([2, 4, 2], [1, 1]) == [2, 2]
+    # A planted wrong gcd, x + 1, which does not divide (x - 2)^2 (x - 3).
+    monkeypatch.setattr(polynomials, "_gcd", lambda a, b: [1, 1])
+    with pytest.raises(ArithmeticError, match="inexact"):
+        squarefree_decomposition(P(-2, 1) * P(-2, 1) * P(-3, 1))
