@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, components
+from .graphs import Graph, _bits, component_masks
 
 
 @dataclass(frozen=True)
@@ -19,18 +19,15 @@ class FamilyMatch:
         return f"complement:{tag}" if self.complemented else tag
 
 
-def _is_clique(g: Graph, verts: list[int]) -> bool:
-    return all(g.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1:])
-
-
-def _clique_components(g: Graph) -> list[int] | None:
-    """Component sizes if every component is a clique, else None."""
-    _, parts = components(g)
+def _clique_components(g: Graph, within: int) -> list[int] | None:
+    """Sizes, largest first, of the components induced on the mask
+    ``within`` if every one is a clique, else None.  A component is a
+    clique when each member's closed neighbourhood covers it."""
     sizes = []
-    for part in parts:
-        if not _is_clique(g, part):
+    for comp in component_masks(g, within):
+        if any(comp & ~(g.rows[v] | 1 << v) for v in _bits(comp)):
             return None
-        sizes.append(len(part))
+        sizes.append(comp.bit_count())
     return sorted(sizes, reverse=True)
 
 
@@ -39,13 +36,14 @@ def _matches_one_side(g: Graph) -> list[FamilyMatch]:
     n = g.n
     ecount = g.edge_count()
     degs = g.degrees()
+    full = (1 << n) - 1
 
     if ecount == n * (n - 1) // 2:
         out.append(FamilyMatch("complete", {"n": n}))
     if ecount == 0:
         out.append(FamilyMatch("empty", {"n": n}))
 
-    sizes = _clique_components(g)
+    sizes = _clique_components(g, full)
     if sizes is not None:
         nontrivial = [s for s in sizes if s > 1]
         isolated = len(sizes) - len(nontrivial)
@@ -62,8 +60,7 @@ def _matches_one_side(g: Graph) -> list[FamilyMatch]:
     # removal leaves clique components with at most one of size >= 2.
     for v in range(n):
         if degs[v] == n - 1 and n >= 2:
-            rest = g.delete_vertex(v)
-            rest_sizes = _clique_components(rest)
+            rest_sizes = _clique_components(g, full & ~(1 << v))
             if rest_sizes is None:
                 continue
             nontrivial = [s for s in rest_sizes if s > 1]
@@ -81,7 +78,7 @@ def _matches_one_side(g: Graph) -> list[FamilyMatch]:
 
     if n >= 1 and ecount == n - 1 and sorted(degs) == [1] * min(2, n - 1) + [2] * max(0, n - 2):
         # Degree profile of a path; connectivity follows from the edge count.
-        if components(g)[0] == 1:
+        if len(component_masks(g, full)) == 1:
             out.append(FamilyMatch("path", {"n": n}))
 
     if degs and degs.count(degs[0]) == n:

@@ -299,13 +299,7 @@ def petersen() -> Graph:
 # structural queries
 
 
-def components(g: Graph) -> tuple[int, list[list[int]]]:
-    """Connected component count and vertex partition (sorted)."""
-    parts = [_bits(comp) for comp in _component_masks(g, (1 << g.n) - 1)]
-    return len(parts), parts
-
-
-def _component_masks(g: Graph, within: int) -> list[int]:
+def component_masks(g: Graph, within: int) -> list[int]:
     """Vertex masks of the components of the subgraph induced on the mask
     ``within``, in the order of their least vertices."""
     parts = []

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _component_masks, earlier_twins
+from .graphs import Graph, _bits, component_masks, earlier_twins
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -42,8 +42,8 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
     most two ends, and not the two ends of one path; the bound at a leaf is
     then ``edges - (not lone)``.
 
-    Twins are searched once.  ``twins[v]`` holds the earlier vertices t of
-    v's class in ``twin_classes`` (N(t) = N(v) or N[t] = N[v]), and v is not
+    Twins are searched once.  ``twins[v]``, from ``earlier_twins``, holds the
+    earlier vertices t with N(t) = N(v) or N[t] = N[v], and v is not
     included once such a t has been excluded.  Swapping t in for v maps
     every forest of that branch to an isomorphic forest with the same bound
     that the include-first order meets earlier, in t's include branch; the
@@ -108,7 +108,7 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
 def _mask_to_witness(g: Graph, mask: int) -> PathForestWitness:
     paths = []
     isolated = []
-    for comp in _component_masks(g, mask):
+    for comp in component_masks(g, mask):
         verts = _bits(comp)
         if len(verts) == 1:
             isolated.append(verts[0])
@@ -139,18 +139,11 @@ def validate_path_forest(g: Graph, w: PathForestWitness) -> bool:
     count = sum(len(p) for p in w.paths) + len(w.isolated)
     if len(used) != count or any(not 0 <= v < g.n for v in used):
         return False
+    # Induced: the vertices span as many edges as the paths have, and every
+    # path edge is one of them.
+    edges = count - len(w.isolated) - len(w.paths)
     verts = sorted(used)
-    index = {v: i for i, v in enumerate(verts)}
-    expected = set()
-    for p in w.paths:
-        for a, b in zip(p, p[1:]):
-            expected.add(frozenset((index[a], index[b])))
-    sub = g.induced_subgraph(verts)
-    actual = {frozenset(e) for e in sub.edges()}
-    if actual != expected:
+    spanned = sum(g.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1:])
+    if spanned != edges or not all(g.has_edge(a, b) for p in w.paths for a, b in zip(p, p[1:])):
         return False
-    t = len(w.paths)
-    if t == 0:
-        return False
-    total = sum(len(p) for p in w.paths)
-    return w.bound == total - t - (1 if not w.isolated else 0)
+    return bool(w.paths) and w.bound == edges - (not w.isolated)

@@ -23,8 +23,8 @@ from murlab.engine import (
     structural_upper,
 )
 from murlab.families import FamilyMatch, family_matches
-from murlab.graphs import Graph, diameter
-from murlab.pathsearch import best_induced_path_forest
+from murlab.graphs import Graph, _bits, component_masks, diameter
+from murlab.pathsearch import PathForestWitness, best_induced_path_forest
 from murlab.polynomials import Poly
 
 
@@ -34,6 +34,10 @@ def graphs_strategy(max_n=6):
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n
         ).map(lambda pairs: Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
     )
+
+
+def component_count(g):
+    return len(component_masks(g, (1 << g.n) - 1))
 
 
 def friendship(k):
@@ -230,3 +234,121 @@ def reference_upper_bounds(g: Graph, lower: int):
     found = search_lines(g, lower, upper, cert, _delta_lines(g))
     if found[0] < upper:
         yield found
+
+
+# The component list, the family recognizers and the path-forest check as
+# they were before vertex sets were read as bitmasks, kept verbatim as
+# references; only the names changed (reference_components is the removed
+# components(), and it reads the masks from the now public component_masks).
+def reference_components(g: Graph) -> tuple[int, list[list[int]]]:
+    """Connected component count and vertex partition (sorted)."""
+    parts = [_bits(comp) for comp in component_masks(g, (1 << g.n) - 1)]
+    return len(parts), parts
+
+
+def _is_clique(g: Graph, verts: list[int]) -> bool:
+    return all(g.has_edge(u, v) for i, u in enumerate(verts) for v in verts[i + 1:])
+
+
+def reference_clique_components(g: Graph) -> list[int] | None:
+    """Component sizes if every component is a clique, else None."""
+    _, parts = reference_components(g)
+    sizes = []
+    for part in parts:
+        if not _is_clique(g, part):
+            return None
+        sizes.append(len(part))
+    return sorted(sizes, reverse=True)
+
+
+def _reference_matches_one_side(g: Graph) -> list[FamilyMatch]:
+    out: list[FamilyMatch] = []
+    n = g.n
+    ecount = g.edge_count()
+    degs = g.degrees()
+
+    if ecount == n * (n - 1) // 2:
+        out.append(FamilyMatch("complete", {"n": n}))
+    if ecount == 0:
+        out.append(FamilyMatch("empty", {"n": n}))
+
+    sizes = reference_clique_components(g)
+    if sizes is not None:
+        nontrivial = [s for s in sizes if s > 1]
+        isolated = len(sizes) - len(nontrivial)
+        if len(sizes) == 2 and n > 2:
+            out.append(FamilyMatch("two_cliques", {"r": sizes[0], "s": sizes[1]}))
+        if len(nontrivial) == 1 and isolated >= 1 and nontrivial[0] >= 2:
+            out.append(
+                FamilyMatch("clique_plus_isolated", {"r": nontrivial[0], "s": isolated})
+            )
+        if len(sizes) >= 2 and not isolated:
+            out.append(FamilyMatch("union_of_cliques", {"sizes": tuple(sizes)}))
+
+    # Apex over a clique plus isolated vertices: some dominating vertex whose
+    # removal leaves clique components with at most one of size >= 2.
+    for v in range(n):
+        if degs[v] == n - 1 and n >= 2:
+            rest = g.delete_vertex(v)
+            rest_sizes = reference_clique_components(rest)
+            if rest_sizes is None:
+                continue
+            nontrivial = [s for s in rest_sizes if s > 1]
+            if len(nontrivial) > 1:
+                continue
+            if nontrivial:
+                r = nontrivial[0]
+                s = len(rest_sizes) - 1
+            else:
+                # All isolated: take one as the degenerate clique when present.
+                r = 1 if rest_sizes else 0
+                s = len(rest_sizes) - r
+            out.append(FamilyMatch("clique_isolated_apex", {"r": r, "s": s}))
+            break
+
+    if n >= 1 and ecount == n - 1 and sorted(degs) == [1] * min(2, n - 1) + [2] * max(0, n - 2):
+        # Degree profile of a path; connectivity follows from the edge count.
+        if reference_components(g)[0] == 1:
+            out.append(FamilyMatch("path", {"n": n}))
+
+    if degs and degs.count(degs[0]) == n:
+        out.append(FamilyMatch("regular", {"degree": degs[0]}))
+    return out
+
+
+def reference_family_matches(g: Graph, complement: Graph) -> list[FamilyMatch]:
+    """All family matches on g and on its complement."""
+    out = list(_reference_matches_one_side(g))
+    out.extend(
+        FamilyMatch(m.kind, m.params, complemented=True)
+        for m in _reference_matches_one_side(complement)
+    )
+    return out
+
+
+def reference_validate_path_forest(g: Graph, w: PathForestWitness) -> bool:
+    """Re-check a witness: structure, inducedness, and the bound formula."""
+    used: set[int] = set()
+    for p in w.paths:
+        if len(p) < 2:
+            return False
+        used.update(p)
+    used.update(w.isolated)
+    count = sum(len(p) for p in w.paths) + len(w.isolated)
+    if len(used) != count or any(not 0 <= v < g.n for v in used):
+        return False
+    verts = sorted(used)
+    index = {v: i for i, v in enumerate(verts)}
+    expected = set()
+    for p in w.paths:
+        for a, b in zip(p, p[1:]):
+            expected.add(frozenset((index[a], index[b])))
+    sub = g.induced_subgraph(verts)
+    actual = {frozenset(e) for e in sub.edges()}
+    if actual != expected:
+        return False
+    t = len(w.paths)
+    if t == 0:
+        return False
+    total = sum(len(p) for p in w.paths)
+    return w.bound == total - t - (1 if not w.isolated else 0)

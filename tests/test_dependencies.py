@@ -2,10 +2,13 @@
 library and itself (numpy, sympy and networkx may be installed, but a
 user's environment need not have them).  Nor does it carry code that only
 its tests reach, or imports it does not use (nor do its tests), or asserts
-that ``python -O`` would strip."""
+that ``python -O`` would strip, or docstrings that name what it does not
+define."""
 
 import ast
+import builtins
 import importlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -139,3 +142,39 @@ def test_every_definition_is_used_in_the_package():
                 if name not in DEAD_CODE_ALLOWED:
                     unused.append(name)
     assert not unused, f"defined under src/murlab/ but never used there: {unused}"
+
+
+# Double-backquoted text in package docstrings that names no definition: CLI
+# words, a method of int, and a keyword argument's value.
+DOCSTRING_NAMES_ALLOWED = {"mur", "batch", "--budget", "murlab verify", "to_bytes", "exact=False"}
+
+
+def test_docstring_names_resolve():
+    # The leading dotted name of each ``...`` (``far`` in ``far[v]``) must be
+    # a module, function, class, method, variable, attribute or parameter of
+    # the package, or a builtin; a rename that misses a docstring leaves it
+    # naming nothing.
+    package = sorted(Path(murlab.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in package]
+    defined = {path.stem for path in package} | set(dir(builtins))
+    for node in (sub for tree in trees for sub in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.arg):
+            defined.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    unresolved = []
+    for path, tree in zip(package, trees):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for text in re.findall(r"``(.+?)``", ast.get_docstring(node) or "", re.S):
+                head = re.match(r"[A-Za-z_][\w.]*", text)
+                if text not in DOCSTRING_NAMES_ALLOWED and not (
+                    head and all(part in defined for part in head.group().split("."))
+                ):
+                    unresolved.append(f"{path.name}: ``{text}``")
+    assert not unresolved, f"docstrings name what the package does not define: {unresolved}"

@@ -1,7 +1,8 @@
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from murlab.families import family_matches
+from murlab.families import _clique_components, family_matches
 from murlab.graphs import (
+    _bits,
     clique_isolated_apex,
     complete,
     cycle,
@@ -10,7 +11,13 @@ from murlab.graphs import (
     path,
     star,
 )
-from helpers import graphs_strategy
+from murlab.verify import family_checks
+from helpers import (
+    atlas7,
+    graphs_strategy,
+    reference_clique_components,
+    reference_family_matches,
+)
 
 
 def kinds(g, complemented=None):
@@ -72,3 +79,27 @@ def test_complement_pairing(g):
         (m.kind, not m.complemented) for m in family_matches(g.complement(), g)
     }
     assert direct == flipped
+
+
+def test_matches_as_with_vertex_lists():
+    # The list-based recognizers, on the atlas, the paper's families and the
+    # complements of both.
+    graphs = atlas7() + [g for _, g, _ in family_checks()]
+    seen = set()
+    for g in graphs:
+        for side, other in ((g, g.complement()), (g.complement(), g)):
+            got = family_matches(side, other)
+            assert got == reference_family_matches(side, other), side
+            seen.update(m.kind for m in got)
+    assert {"two_cliques", "clique_plus_isolated", "union_of_cliques"} < seen
+    assert {"clique_isolated_apex", "path"} < seen
+
+
+@settings(max_examples=200)
+@given(graphs_strategy(8), st.data())
+def test_clique_components_on_a_vertex_mask(g, data):
+    if data.draw(st.booleans()):
+        g = g.complement()  # denser, with larger cliques
+    within = data.draw(st.integers(0, (1 << g.n) - 1))
+    want = reference_clique_components(g.induced_subgraph(_bits(within)))
+    assert _clique_components(g, within) == want

@@ -10,7 +10,7 @@ from murlab.graphs import (
     clique_isolated_apex,
     complete,
     complete_bipartite,
-    components,
+    component_masks,
     cycle,
     diameter,
     disjoint_union,
@@ -128,10 +128,13 @@ def test_join_apex_shape():
 
 
 def test_components():
-    assert components(disjoint_union([complete(3), complete(4)]))[0] == 2
-    assert components(path(6))[0] == 1
-    c, parts = components(empty(5))
-    assert c == 5 and parts == [[0], [1], [2], [3], [4]]
+    g = disjoint_union([complete(3), complete(4)])
+    assert component_masks(g, 0b1111111) == [0b111, 0b1111000]
+    assert component_masks(path(6), 0b111111) == [0b111111]
+    assert component_masks(empty(5), 0b11111) == [1, 2, 4, 8, 16]
+    # induced on a vertex mask: P6 less vertices 2 and 4 is P2 + K1 + K1
+    assert component_masks(path(6), 0b101011) == [0b11, 0b1000, 0b100000]
+    assert component_masks(path(6), 0) == []
 
 
 def test_diameter():

@@ -2,11 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from murlab.graphs import (
     Graph,
     _bits,
+    component_masks,
     complete,
     complete_bipartite,
     cycle,
@@ -23,7 +24,12 @@ from murlab.pathsearch import (
     validate_path_forest,
 )
 from murlab.verify import family_checks
-from helpers import friendship, graphs_strategy
+from helpers import (
+    component_count,
+    friendship,
+    graphs_strategy,
+    reference_validate_path_forest,
+)
 
 
 def brute_best_forest(g):
@@ -48,9 +54,7 @@ def brute_best_forest(g):
 
 
 def _component_sizes(g):
-    from murlab.graphs import components
-
-    return [len(p) for p in components(g)[1]]
+    return [c.bit_count() for c in component_masks(g, (1 << g.n) - 1)]
 
 
 def test_forest_examples():
@@ -90,9 +94,7 @@ def test_forest_matches_brute_force(g):
 def test_diameter_below_longest_path(g):
     # A shortest path realising the diameter is an induced path, and a single
     # induced path on d + 1 vertices is a forest of bound d - 1.
-    from murlab.graphs import components
-
-    if components(g)[0] != 1:
+    if component_count(g) != 1:
         return
     assert diameter(g) - 1 <= _score(best_induced_path_forest(g))
 
@@ -102,6 +104,86 @@ def test_witness_validation_rejects_garbage():
     assert not validate_path_forest(g, PathForestWitness([(0, 2)], [], 0))
     assert not validate_path_forest(g, PathForestWitness([], [0], -1))
     assert not validate_path_forest(g, PathForestWitness([(0, 1)], [0], 1))
+
+
+def _verdict(validate, g, w):
+    """validate's answer, or the type and text of what it raised: replay
+    reports both."""
+    try:
+        return validate(g, w)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_verdict(g, w):
+    assert _verdict(validate_path_forest, g, w) == _verdict(reference_validate_path_forest, g, w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_strategy(9), st.data())
+def test_validation_as_with_an_induced_subgraph(g, data):
+    # A genuine witness, or one with a single defect: a vertex joined to the
+    # forest (a chord), two paths run together or a path's first two
+    # vertices swapped (a missing edge), a repeated, out-of-range or
+    # non-integer vertex, or a wrong bound.
+    if data.draw(st.booleans()):
+        g = g.complement()
+    w = best_induced_path_forest(g).witness
+    if w is None:
+        return
+    paths, isolated = [list(p) for p in w.paths], list(w.isolated)
+    used = sorted(set(isolated).union(*paths))
+    change = data.draw(st.sampled_from(
+        ["none", "chord", "missing edge", "swapped", "repeated", "out of range", "float", "bound"]
+    ))
+    slots = paths + [isolated]
+    if change == "chord":
+        outside = [v for v in range(g.n) if v not in used]
+        if outside:
+            data.draw(st.sampled_from(slots)).append(data.draw(st.sampled_from(outside)))
+    elif change == "missing edge":
+        if len(paths) > 1:
+            paths[0] += paths.pop(data.draw(st.integers(1, len(paths) - 1)))
+        elif isolated:
+            paths[0].append(isolated.pop())
+    elif change == "swapped" and len(paths[0]) > 2:
+        paths[0][:2] = paths[0][1::-1]
+    elif change == "repeated":
+        data.draw(st.sampled_from(slots)).append(data.draw(st.sampled_from(used)))
+    elif change in ("out of range", "float"):
+        slot = data.draw(st.sampled_from([s for s in slots if s]))
+        i = data.draw(st.integers(0, len(slot) - 1))
+        if change == "float":
+            slot[i] = data.draw(st.sampled_from([float(slot[i]), slot[i] + 0.5]))
+        else:
+            slot[i] = data.draw(st.sampled_from([-1, g.n]))
+    bound = sum(len(p) for p in paths) - len(paths) - (not isolated)
+    if change == "bound":
+        bound += data.draw(st.sampled_from([-1, 1]))
+    assert_same_verdict(g, PathForestWitness([tuple(p) for p in paths], isolated, bound))
+
+
+@pytest.mark.parametrize(
+    "paths, isolated",
+    [
+        ([(0.5, 1)], []),
+        ([(0, 1.5)], []),
+        ([(0, 1), (2, 3.0)], []),
+        ([(1, 2)], [0.0]),
+        ([(1, 2)], [True]),
+        ([(0, "x")], []),
+        ([(0, None)], []),
+        ([(0, [1])], []),
+        ([(0, 1)], [{}]),
+        ([(0, 1, 1.0)], []),
+        ([(0,), ("x", 1)], []),
+        ([], [0.5, 2.5]),
+    ],
+)
+def test_unreadable_vertices_fail_as_before(paths, isolated):
+    # Replay names the exception a certificate's data raises, so it must be
+    # the one the subgraph-building check raised.
+    assert_same_verdict(path(5), PathForestWitness(paths, isolated, 1))
 
 
 # The search as it was before it kept the forest's ends incrementally: a

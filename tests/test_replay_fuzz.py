@@ -6,12 +6,15 @@ ReportError or return checks, and if every check passes, the claimed
 bounds must still hold for the known value.
 """
 
+import ast
 import copy
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import murlab
 from murlab.engine import Budget, Certificate, MurResult, compute_mur, mur_lower, mur_spread
 from murlab.graphs import complete, complete_bipartite, cycle, disjoint_union, p_prime, path, petersen
 from murlab.report import ReportError, build_report, replay_report
@@ -175,3 +178,42 @@ def test_replay_fails_bound_two_on_a_rank_one_family(g):
     forged = Certificate("not_in_rank01_families", {"bound": 2})
     doc = build_report(g, MurResult(2, forged, 3, Certificate("order_bound")), TINY, 0.1)
     assert failed(doc) == [("lower certificate", "graph is in a rank-1 family")]
+
+
+def written_kinds():
+    """Every certificate kind the package writes: the first argument of each
+    Certificate(...) call under src/murlab/."""
+    return sorted(
+        node.args[0].value
+        for path in Path(murlab.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Certificate"
+        and isinstance(node.args[0], ast.Constant)
+    )
+
+
+def test_replay_fails_a_bound_past_mur_under_every_kind():
+    # Single-leaf mutations never write a valid kind name, so set each one
+    # here, on the lower and then the upper certificate, with that claimed
+    # bound one past mur and the rest of the document kept consistent.
+    kinds = set(written_kinds())
+    assert {"trivial", "path_forest", "minor_combination", "explicit_params"} < kinds
+    for mur, deleted_mur, genuine in genuine_reports():
+        for bound, past in (("lower", mur + 1), ("upper", mur - 1)):
+            for kind in sorted(kinds):
+                doc = copy.deepcopy(genuine)
+                doc[f"{bound}_certificate"]["kind"] = kind
+                res = doc["result"]
+                res[bound] = past
+                res["lower"], res["upper"] = min(res["lower"], past), max(res["upper"], past)
+                res["exact"] = res["lower"] == res["upper"]
+                res["value"] = res["lower"] if res["exact"] else None
+                if "spread" in doc:
+                    sp, dres = doc["spread"], doc["spread"]["deleted"]["result"]
+                    sp["lower"] = res["lower"] - dres["upper"]
+                    sp["upper"] = res["upper"] - dres["lower"]
+                    sp["exact"] = sp["lower"] == sp["upper"]
+                names = [name for name, _ in failed(doc)]
+                assert f"{bound} certificate" in names, (genuine["graph"]["graph6"], bound, kind)

@@ -18,6 +18,7 @@ from murlab.graphs import (
     complete,
     cycle,
     disjoint_union,
+    empty,
     encode_graph6,
     p_prime,
     parse_graph6,
@@ -103,6 +104,18 @@ def test_replay_passes_on_fresh_reports():
     for g in graphs:
         checks = replay_report(make_report(g))
         assert all(c.ok for c in checks), [(c.name, c.message) for c in checks]
+
+
+def test_replay_accepts_a_trivial_upper_bound_only_with_no_vertices():
+    assert all(c.ok for c in replay_report(make_report(empty(0))))
+    for g in (path(4), petersen()):  # mur 2 and 4
+        doc = make_report(g)
+        doc["result"].update(lower=0, upper=0, exact=True, value=0)
+        doc["lower_certificate"] = doc["upper_certificate"] = {"kind": "trivial", "data": {}}
+        message = f"a trivial upper bound needs a graph with no vertices, not {g.n}"
+        assert [(c.name, c.message) for c in replay_report(doc) if not c.ok] == [
+            ("upper certificate", message)
+        ]
 
 
 def test_replay_with_spread():
