@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, islice, repeat
-from math import comb, factorial, inf, lcm
+from math import comb, inf, lcm
 from operator import itemgetter, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -327,15 +327,16 @@ _MINOR_STAGE_WORK = 1_500_000
 
 def minor_points(k: int) -> list[tuple[int, int, int]]:
     """Integer (beta, gamma, delta) points on which a minors identity can be
-    checked, and the index of a minor's coefficients.
+    checked, and the index of a minor's vector.
 
     Every k x k minor is affine in gamma (gamma*J has rank one) and of total
     degree <= k in (beta, delta), as is the constant 1.  The (k+1)(k+2)
     points gamma in {0, 1}, beta, delta >= 0, beta + delta <= k are
     unisolvent for that space, so an identity between such polynomials that
     holds on these points holds everywhere.  ``minor_coefficients`` lists a
-    minor's coefficients in the same order: the i-th, for the i-th point
-    (b, c, d), is that of beta**b * delta**d in the minor at gamma = c.
+    minor in the same order: up to ``_TABLE_ORDER`` the i-th entry, for the
+    i-th point (b, c, d), is the coefficient of beta**b * delta**d in the
+    minor at gamma = c; past it, the minor's value at that point.
     """
     return [
         (b, c, d) for c in (0, 1) for b in range(k + 1) for d in range(k + 1 - b)
@@ -343,8 +344,21 @@ def minor_points(k: int) -> list[tuple[int, int, int]]:
 
 
 def constant_one(k: int) -> list[int]:
-    """The constant 1 as coefficients in the order of ``minor_points(k)``."""
+    """The constant 1 as a vector of order k (see ``minor_points``)."""
+    if k > _TABLE_ORDER:
+        return [1] * ((k + 1) * (k + 2))
     return [int(b == d == 0) for b, _, d in minor_points(k)]
+
+
+def _point_values(k: int, vector: Sequence[int]) -> Iterator[int]:
+    """The values at ``minor_points(k)`` of a vector of order k, made lazily."""
+    if k > _TABLE_ORDER:
+        return iter(vector)
+    points = minor_points(k)
+    return (
+        sum(x * beta**b * delta**d for x, (b, c, d) in zip(vector, points) if c == gamma)
+        for beta, gamma, delta in points
+    )
 
 
 IndexSet = Sequence[int]
@@ -420,67 +434,24 @@ def _unpacker(k: int, w: int):
     return unpack
 
 
-@lru_cache(maxsize=None)
-def _newton_basis(k: int) -> tuple[tuple[int, ...], ...]:
-    """rows[a]: the coefficients of k! * binomial(x, a), lowest power first."""
-    rows, falling = [], [1]  # falling: x(x-1)...(x-a+1)
-    for a in range(k + 1):
-        scale = factorial(k) // factorial(a)
-        rows.append(tuple(scale * c for c in falling))
-        falling = [lo - a * hi for lo, hi in zip([0] + falling, falling + [0])]
-    return tuple(rows)
-
-
-def _differences(seq: list[int]) -> list[int]:
-    """The forward differences of seq at its first term, of order 0, 1, ..."""
-    out = []
-    while seq:
-        out.append(seq[0])
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-    return out
-
-
-def _interpolate(k: int, values: list[int]) -> list[int]:
-    """The integer polynomial of total degree <= k in (beta, delta) with the
-    given values at the points (b, d), b, d >= 0, b + d <= k, as its
-    coefficients; points and coefficients both in the order of one gamma
-    half of ``minor_points(k)``.
-
-    Differences along delta and then along beta give its coefficients in
-    the basis binomial(beta, a) * binomial(delta, e); ``_newton_basis``
-    turns each factor into powers, scaled by k!.
-    """
-    rows, i = [], 0
-    for b in range(k + 1):  # rows[b]: differences along delta at (b, 0)
-        rows.append(_differences(values[i:i + k + 1 - b]))
-        i += k + 1 - b
-    diffs = [_differences([row[e] for row in rows[:k + 1 - e]]) for e in range(k + 1)]
-    basis, scale = _newton_basis(k), factorial(k) ** 2
-    out = []
-    for b in range(k + 1):
-        # at_b[e]: k! * the coefficient of beta**b in the e-th delta difference
-        at_b = [sum(x[a] * basis[a][b] for a in range(b, len(x))) for x in diffs[:k + 1 - b]]
-        for d in range(k + 1 - b):
-            out.append(sum(at_b[e] * basis[e][d] for e in range(d, k + 1 - b)) // scale)
-    return out
-
-
 def minor_coefficients(
     g: Graph, k: int, pairs: Iterable[tuple[IndexSet, IndexSet]]
 ) -> Iterator[tuple[IndexSet, IndexSet, tuple[int, ...]]]:
-    """(rows, cols, coeffs) for each pair, coeffs the k x k minor of the
-    universal matrix on rows x cols (in the order given) as coefficients in
-    the order of ``minor_points(k)``; k >= 1.
+    """(rows, cols, vector) for each pair, vector the k x k minor of the
+    universal matrix on rows x cols (in the order given) in the order of
+    ``minor_points(k)``: its coefficients up to ``_TABLE_ORDER``, its values
+    past it; k >= 1.
 
-    A minor is computed at gamma = 0 and at gamma = 1, each a polynomial in
-    (beta, delta) packed into one integer by Kronecker substitution: the
-    coefficient of beta**a * delta**b sits in slot a + (k+1)*b, ``_slot_width``
-    bits wide.  Sums and products of packed minors are then single integer
-    operations.  det U[R, C] is expanded along the last row of R, and the
-    (k-1)-minors of R[:-1] are read from a table for that row prefix, kept
-    while consecutive pairs share the prefix and the tables stay within
-    ``_TABLE_BITS``.  Past ``_TABLE_ORDER`` each minor is an integer
-    determinant at every point of ``minor_points(k)``, interpolated.
+    Up to ``_TABLE_ORDER`` a minor is computed at gamma = 0 and at gamma =
+    1, each a polynomial in (beta, delta) packed into one integer by
+    Kronecker substitution: the coefficient of beta**a * delta**b sits in
+    slot a + (k+1)*b, ``_slot_width`` bits wide.  Sums and products of
+    packed minors are then single integer operations.  det U[R, C] is
+    expanded along the last row of R, and the (k-1)-minors of R[:-1] are
+    read from a table for that row prefix, kept while consecutive pairs
+    share the prefix and the tables stay within ``_TABLE_BITS``.  Past
+    ``_TABLE_ORDER`` each minor is an integer determinant at every point of
+    ``minor_points(k)``.
     """
     decode, minors = _minors(g, k, pairs)
     for rows, cols, minor in minors:
@@ -489,26 +460,22 @@ def minor_coefficients(
 
 def _minors(g: Graph, k: int, pairs: Iterable[tuple[IndexSet, IndexSet]]):
     """(decode, minors): minors yields (rows, cols, minor) for each pair, and
-    decode(minor) is its coefficient tuple (see ``minor_coefficients``).
+    decode(minor) is its vector (see ``minor_coefficients``).
 
     Up to ``_TABLE_ORDER`` a minor is its packed pair (at gamma = 0, at
-    gamma = 1); past it, already the coefficient tuple.  Either way the
-    minor is a tuple whose entries negate with it.
+    gamma = 1); past it, already its tuple of values.  Either way the minor
+    is a tuple whose entries negate with it.
     """
     if k > _TABLE_ORDER:
-        return tuple, _interpolated_minors(g, k, pairs)  # tuple(t) is t
+        return tuple, _point_minors(g, k, pairs)  # tuple(t) is t
     w = _slot_width(g.n, k)
     return _unpacker(k, w), _table_minors(g, k, w, pairs)
 
 
-def _interpolated_minors(g, k, pairs):
-    points = minor_points(k)
-    mats = [u_matrix(g, 1, b, c, d) for b, c, d in points]
-    half = len(points) // 2
+def _point_minors(g, k, pairs):
+    mats = [u_matrix(g, 1, b, c, d) for b, c, d in minor_points(k)]
     for rows, cols in pairs:
-        values = [det_int([[m[r][c] for c in cols] for r in rows]) for m in mats]
-        coeffs = _interpolate(k, values[:half]) + _interpolate(k, values[half:])
-        yield rows, cols, tuple(coeffs)
+        yield rows, cols, tuple(det_int([[m[r][c] for c in cols] for r in rows]) for m in mats)
 
 
 def _table_minors(g, k, w, pairs):
@@ -749,23 +716,27 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     A minor that is zero, or + or - a minor already tried, is dropped
     before it is decoded; only the key it is compared by is made positive
     (by the sign of its first nonzero part), never the minor.  The others
-    go as coefficient vectors (see ``minor_coefficients``) into an
-    ``_Echelon`` modulo a prime, which keeps the independent ones until the
-    constant 1 lies in their span.  A scaled copy of a minor already tried lies in
-    that span, so the echelon drops it.  The weights are then solved for
-    exactly from the minors kept, and the identity is checked on every
-    coefficient, so a failure anywhere only means no certificate.
-    Coefficients and values on ``minor_points(k)`` determine each other by
-    an integer map that is invertible over Q and modulo the prime, so the
-    minors chosen and their weights are those an elimination of the values
-    would give.
+    go as vectors (see ``minor_coefficients``) into an ``_Echelon`` modulo
+    a prime, which keeps the independent ones until the constant 1 lies in
+    their span.  A scaled copy of a minor already tried lies in that span,
+    so the echelon drops it.  The weights are then solved for exactly from
+    the minors kept, and the identity is checked on every entry, so a
+    failure anywhere only means no certificate.  Coefficients and values on
+    ``minor_points(k)`` determine each other by an integer map that is
+    invertible over Q and modulo the prime, so the minors chosen and their
+    weights are the same in either basis: past ``_TABLE_ORDER`` they come
+    from the values.
     """
     ncoeffs = (k + 1) * (k + 2)
     # Each pair costs (k+1)(k+2) * k**3 of the work cap, charged before it is
     # tried, whether or not the twin rule skips it.
     pairs = _minor_pairs(g, k, -(-_MINOR_STAGE_WORK // max(ncoeffs * k**3, 1)))
-    # Every coefficient of a minor is below (3n)**k (see _slot_width).
-    echelon = _Echelon(constant_one(k), (3 * g.n) ** k)
+    # Every coefficient of a minor is below (3n)**k (see _slot_width).  At a
+    # minor point, beta + delta <= k, a row of U[R, C] sums in absolute value
+    # to at most beta + 1 + delta*(n-1) + 2(k-1) < k(n+2), so every value of
+    # a minor is below (k(n+2))**k.
+    height = (3 * g.n) ** k if k <= _TABLE_ORDER else (k * (g.n + 2)) ** k
+    echelon = _Echelon(constant_one(k), height)
     chosen: list[tuple[IndexSet, IndexSet, tuple[int, ...]]] = []
     decode, minors = _minors(g, k, pairs)
     seen = set()
@@ -775,25 +746,23 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
         if not sign or key in seen:
             continue
         seen.add(key)
-        coeffs = decode(minor)
-        if echelon.add(coeffs):
-            chosen.append((rows, cols, coeffs))
+        vector = decode(minor)
+        if echelon.add(vector):
+            chosen.append((rows, cols, vector))
             if echelon.spans_target():
                 return _solve_minor_weights(k, echelon.pivots, chosen)
     return None
 
 
 def _solve_minor_weights(k, pivots, chosen) -> Optional[Certificate]:
-    # The pivot coefficients of the echelon basis make the chosen minors'
-    # square system nonsingular modulo the prime, hence over Q.
+    # The pivot entries of the echelon basis make the chosen minors' square
+    # system nonsingular modulo the prime, hence over Q.
     one = constant_one(k)
-    solved = solve_int(
-        [[coeffs[p] for _, _, coeffs in chosen] for p in pivots], [one[p] for p in pivots]
-    )
+    solved = solve_int([[v[p] for _, _, v in chosen] for p in pivots], [one[p] for p in pivots])
     if solved is None:
         return None
     nums, den = solved
-    for target, column in zip(one, zip(*(coeffs for _, _, coeffs in chosen))):
+    for target, column in zip(one, zip(*(v for _, _, v in chosen))):
         if sum(map(mul, nums, column)) != den * target:
             return None
     return Certificate(

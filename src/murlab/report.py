@@ -24,8 +24,8 @@ from .engine import (
     graph_facts,
     integer_universal_matrix,
     minor_coefficients,
-    minor_points,
     universal_matrix,
+    _point_values,
 )
 from .graphs import Graph, GraphError, component_masks, diameter, encode_graph6, parse_graph6
 from .matrices import rank_algebraic, rank_rational
@@ -179,9 +179,9 @@ def _is_index_set(idx, n: int, k: int) -> bool:
 
 
 def _replay_minor_combination(g: Graph, data: dict) -> tuple[Optional[int], str]:
-    """Check that the weighted minors sum to the constant 1, coefficient by
-    coefficient; on failure, name the first point of ``minor_points(k)``
-    where the sum is not 1."""
+    """Check that the weighted minors sum to the constant 1, entry by entry
+    of their vectors (see ``minor_coefficients``); on failure, name the first
+    point of ``minor_points(k)`` where the sum is not 1."""
     k, minors = data.get("k"), data.get("minors")
     if type(k) is not int or not 1 <= k <= g.n:
         return None, f"minor order {k!r} outside 1..{g.n}"
@@ -199,17 +199,12 @@ def _replay_minor_combination(g: Graph, data: dict) -> tuple[Optional[int], str]
     # The weights scaled by the lcm of their denominators are integers.
     den = lcm(*(w.denominator for w in weights))
     totals = [0] * ((k + 1) * (k + 2))
-    for w, (_, _, coeffs) in zip(weights, minor_coefficients(g, k, terms)):
+    for w, (_, _, vector) in zip(weights, minor_coefficients(g, k, terms)):
         w = w.numerator * (den // w.denominator)
-        totals = [t + w * x for t, x in zip(totals, coeffs)]
+        totals = [t + w * x for t, x in zip(totals, vector)]
     if totals != [den * x for x in constant_one(k)]:
         # The points are unisolvent, so the sum differs from 1 at one of them.
-        points = minor_points(k)
-        values = (
-            sum(x * beta**b * delta**d for x, (b, c, d) in zip(totals, points) if c == gamma)
-            for beta, gamma, delta in points
-        )
-        t = next(t for t in values if t != den)
+        t = next(t for t in _point_values(k, totals) if t != den)
         return None, f"minor combination evaluates to {Fraction(t, den)}, not 1"
     return k, ""
 

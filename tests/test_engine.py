@@ -441,30 +441,63 @@ def test_minor_slot_widths(g, k, width):
 
 
 def test_minors_past_the_table_order():
-    # Past the table order each minor is interpolated from its values.
+    # Past the table order each minor is its values at the minor points.
     g, k = disjoint_union([p_prime(5), cycle(7)]), engine._TABLE_ORDER + 2
     subsets = list(combinations(range(g.n), k))
     pairs = [(subsets[0], subsets[0]), (subsets[0], subsets[-1]), (subsets[3], subsets[7])]
-    for rows, cols, coeffs in minor_coefficients(g, k, pairs):
-        assert _at_points(k, coeffs) == _points_minor(g, k, rows, cols)
+    for rows, cols, values in minor_coefficients(g, k, pairs):
+        assert list(values) == _points_minor(g, k, rows, cols)
 
 
-@given(
-    st.integers(0, 12).flatmap(
-        lambda k: st.tuples(
-            st.just(k),
-            st.lists(
-                st.integers(-(10**30), 10**30),
-                min_size=(k + 1) * (k + 2) // 2,
-                max_size=(k + 1) * (k + 2) // 2,
-            ),
-        )
-    )
+@pytest.mark.parametrize(
+    "g",
+    [complete(16), cycle(16), star(16), verify._random_graph(random.Random(14), 14),
+     verify._random_graph(random.Random(16), 16)],
+    ids=["K16", "C16", "K1,15", "G(14)", "G(16)"],
 )
-def test_interpolate_inverts_evaluation(case):
-    k, coeffs = case
-    values = _at_points(k, coeffs + coeffs)[: len(coeffs)]
-    assert engine._interpolate(k, values) == coeffs
+def test_minor_values_lie_below_the_echelon_height(g):
+    # At a minor point a row of U[R, C] sums in absolute value to less than
+    # k(n+2), so every value of a minor past the table order is below
+    # (k(n+2))**k, the height of the minors stage's echelon there.  The
+    # principal minors of K16 come within a factor 1.1 of it in log size,
+    # and past (3n)**k, the height of coefficients.
+    rng = random.Random(g.n)
+    for k in range(engine._TABLE_ORDER + 1, min(g.n, 13) + 1):
+        subsets = [tuple(sorted(rng.sample(range(g.n), k))) for _ in range(6)]
+        pairs = [(r, r) for r in subsets[:2]] + list(zip(subsets[2::2], subsets[3::2]))
+        bound = (k * (g.n + 2)) ** k
+        for _, _, values in minor_coefficients(g, k, pairs):
+            assert max(map(abs, values)) < bound
+
+
+# P13's certificate at order 11 with the work cap lifted: every row set is
+# 0..10, and each column set is every vertex but the two listed.
+P13_ORDER_11 = [
+    ((10, 11), "-9"), ((9, 11), "7"), ((9, 10), "8"), ((8, 11), "-5"), ((8, 10), "-6"),
+    ((7, 11), "3"), ((7, 10), "4"), ((6, 11), "-1"), ((6, 10), "-2"), ((5, 11), "-1"),
+    ((4, 11), "3"), ((4, 10), "2"), ((3, 11), "-5"), ((3, 10), "-4"), ((2, 11), "7"),
+    ((2, 10), "6"), ((1, 11), "-9"), ((1, 10), "-8"), ((0, 12), "1"), ((0, 11), "-1"),
+    ((0, 10), "10"),
+]
+
+
+def test_a_certificate_past_the_table_order(monkeypatch):
+    # The default work cap lets too few pairs through for P13 to certify at
+    # order 11; with it lifted P13 does, and the certificate replays.  A
+    # wrong weight fails at the first minor point where the sum is not 1.
+    monkeypatch.setattr(engine, "_MINOR_STAGE_WORK", 10**12)
+    g = path(13)
+    cert = minors_combination(g, 11)
+    assert all(m["rows"] == list(range(11)) for m in cert.data["minors"])
+    assert [
+        (tuple(v for v in range(13) if v not in m["cols"]), m["weight"])
+        for m in cert.data["minors"]
+    ] == P13_ORDER_11
+    assert report._replay_minor_combination(g, cert.data) == (11, "")
+    cert.data["minors"][0]["weight"] = "7/3"
+    assert report._replay_minor_combination(g, cert.data) == (
+        None, "minor combination evaluates to 37/3, not 1"
+    )
 
 
 def test_minor_tables_stay_within_their_budget(monkeypatch):
@@ -688,11 +721,13 @@ def test_minor_tables_give_the_per_point_certificates():
         (cycle(7), range(2, 7)),  # certificates up to order 4, mur(C7) = 4
         (cycle(7).complement(), range(2, 7)),
         (complete_bipartite(3, 4), range(2, 7)),  # mur = 1: every attempt fails
-        # past the table order, 42**12 > 2**64: heads above the prime and
-        # coefficients of two signed 64-bit digits
+        # past the table order, 192**12 > 2**64: heads above the prime and
+        # values of two signed 64-bit digits
         (cycle(14), [engine._TABLE_ORDER + 2]),
+        # values up to 2**77, past (3n)**k < 2**60, the height of coefficients
+        (cycle(14).complement(), [engine._TABLE_ORDER + 1]),
     ],
-    ids=["C7", "C7-complement", "K3,4", "C14-k12"],
+    ids=["C7", "C7-complement", "K3,4", "C14-k12", "C14-complement-k11"],
 )
 def test_symmetric_graphs_give_the_per_point_certificates(g, orders):
     # Most minors of a symmetric graph are + or - copies of one another,

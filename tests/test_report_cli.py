@@ -397,6 +397,31 @@ def test_cli_batch(tmp_path, capsys):
     assert "11 graphs, 11 exact, 0 interval, 0 errors" in err
 
 
+def test_cli_batch_json(tmp_path, capsys):
+    # One document per graph, each on one line, and blank lines skipped.
+    # Each document parses and replays with every check passing, and
+    # --indent prints the same documents.
+    tokens = [encode_graph6(g) for g in (cycle(5), p_prime(6), petersen())] + ["F~aK?"]
+    f = tmp_path / "batch.g6"
+    f.write_text("\n" + "\n\n".join(tokens) + "\n  \n")
+    code, out, err = run_cli(capsys, "batch", str(f), "--json")
+    assert code == EXIT_OK
+    assert "4 graphs, 4 exact, 0 interval, 0 errors" in err
+    lines = out.splitlines()
+    docs = [parse_report(line) for line in lines]
+    assert [doc["graph"]["graph6"] for doc in docs] == tokens
+    assert docs[-1]["lower_certificate"]["kind"] == "minor_combination"
+    for doc in docs:
+        assert all(check.ok for check in replay_report(doc))
+    code, out, _ = run_cli(capsys, "batch", str(f), "--json", "--indent")
+    assert code == EXIT_OK
+    # an indented document ends with a brace at the start of its last line
+    indented = [json.loads(text + "}") for text in out.split("\n}\n")[:-1]]
+    for doc in docs + indented:
+        doc["elapsed_seconds"] = 0
+    assert indented == docs
+
+
 def test_cli_batch_bad_line_continues(tmp_path, capsys):
     f = tmp_path / "batch.g6"
     f.write_text("A_\n!!bad!!\nBw\n")
