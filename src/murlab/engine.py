@@ -123,12 +123,13 @@ class GraphFacts:
         return min([2, *(_FAMILY_PLACE[m.kind] for m in self.matches)])
 
     @cached_property
-    def laplacian_split(self) -> tuple[int, Poly]:
-        """(c, q) with charpoly(L(G)) = x**c * q and q(0) != 0; c is the
-        number of components of G, the multiplicity of the eigenvalue 0."""
-        coeffs = charpoly(laplacian(self.graph)).coeffs
+    def laplacian_split(self) -> tuple[int, list[int]]:
+        """(c, q) with charpoly(L(G)) = x**c * q and q(0) != 0, q as its
+        integer coefficients, lowest degree first; c is the number of
+        components of G, the multiplicity of the eigenvalue 0."""
+        coeffs = charpoly(laplacian(self.graph))
         c = next(i for i, a in enumerate(coeffs) if a)
-        return c, Poly(coeffs[c:])
+        return c, coeffs[c:]
 
     @cached_property
     def multiplicity(self) -> int:
@@ -908,11 +909,12 @@ def _line_eigenvalues(g: Graph, delta: Fraction) -> tuple[list[list[int]], list[
     """m = s * (A + delta*D), s the denominator of delta, and each integer
     eigenvalue of m with its multiplicity, highest multiplicity first.
 
-    m's characteristic polynomial is monic over the integers, so its rational
-    roots are integers: the rational eigenvalues of A + delta*D are mu / s.
+    m is an integer matrix, so ``charpoly`` gives its characteristic
+    polynomial as monic integer coefficients, whose rational roots are
+    integers: the rational eigenvalues of A + delta*D are mu / s.
     """
     m = u_matrix(g, delta.denominator, 0, 0, delta.numerator)
-    roots = integer_roots([c.numerator for c in charpoly(m).coeffs])
+    roots = integer_roots(charpoly(m))
     return m, sorted(roots, key=lambda r: -r[1])
 
 
@@ -978,11 +980,12 @@ def _refine_algebraic(g, lower, upper, ucert):
     """
     _, rest = graph_facts(g).laplacian_split
     theta = Poly.x()
-    for factor, _ in squarefree_decomposition(rest):
+    for coeffs, _ in squarefree_decomposition(rest):
         if upper <= lower:
             break
-        if factor.degree < 2:
+        if len(coeffs) < 3:
             continue
+        factor = Poly(coeffs).monic()
         p = ParamPoint(theta, theta * Fraction(-1, g.n), Poly((-1,)))
         for branch, r in rank_algebraic(universal_matrix(g, p), factor):
             if r < upper:

@@ -2,9 +2,10 @@
 
 Ranks over the rationals are computed over the integers, after scaling
 away the denominators: ranks, determinants and solves by one fraction-free
-(Bareiss) elimination whose every division is checked.  Characteristic
-polynomials come from Berkowitz's division-free recursion, which takes
-integer matrices as they are.
+(Bareiss) elimination whose every division is checked.  A characteristic
+polynomial of an integer matrix is one such determinant, det(xI - m) at
+x = 2^w with w wide enough that its coefficients can be read off in w-bit
+slots (Kronecker substitution).
 Rank over an algebraic extension Q[x]/(f) runs the same elimination on
 integer coefficient vectors in a root of a monic integer rescaling of f,
 with each division by a previous pivot checked too.  A pivot that is a zero
@@ -223,25 +224,31 @@ def rank_algebraic(m, modulus: Poly) -> list[tuple[Poly, int]]:
     return sorted(branches, key=lambda br: (br[0].degree, br[0].coeffs))
 
 
-def charpoly(m) -> Poly:
-    """Monic characteristic polynomial det(xI - m) by Berkowitz's recursion.
+def charpoly(m: list[list[int]]) -> list[int]:
+    """The coefficients of det(xI - m), lowest degree first, for a square
+    integer matrix m: one fraction-free determinant read off in w-bit slots.
 
-    The recursion is division-free, so it runs on the entries as they are:
-    over the integers for an integer matrix, and exactly for rational ones.
+    With R the largest absolute row sum of m, every eigenvalue has |lambda|
+    <= R, so each coefficient, an elementary symmetric function of the
+    eigenvalues, has |c_i| <= (1 + R)^n.  w is one bit more than that bound
+    takes, so each c_i fits a signed w-bit slot of p(2^w) = det(2^w I - m).
+    As 2^w > R, every leading principal minor of 2^w I - m is nonzero too:
+    ``_eliminate`` takes its pivots on the diagonal with no row swap, and
+    the last pivot is the determinant.
     """
-    nr, nc = dimensions(m)
-    if nr != nc:
+    n, nc = dimensions(m)
+    if n != nc:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    c = [1]  # det(xI - m_r) for the leading r x r block m_r, highest degree first
-    for r in range(nr):
-        # With m_{r+1} = [[m_r, v], [w, m[r][r]]], det(xI - m_{r+1}) is the
-        # product of c with t = (1, -m[r][r], -w v, -w m_r v, ..., -w m_r^(r-1) v),
-        # truncated to degree r + 1.
-        rows = [[(j, x) for j, x in enumerate(m[i][:r]) if x] for i in range(r + 1)]
-        v = [m[i][r] for i in range(r)]
-        t = [1, -m[r][r]]
-        for _ in range(r):
-            t.append(-sum(x * v[j] for j, x in rows[r]))
-            v = [sum(x * v[j] for j, x in row) for row in rows[:r]]
-        c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return Poly(reversed(c))
+    bound = (1 + max((sum(map(abs, row)) for row in m), default=0)) ** n
+    w = bound.bit_length() + 1
+    x = 1 << w
+    rows = [[x - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m)]
+    _eliminate(rows, n)
+    v = rows[-1][-1] if n else 1
+    half, mask = x >> 1, x - 1
+    coeffs = []
+    for _ in range(n + 1):
+        c = ((v + half) & mask) - half
+        coeffs.append(c)
+        v = (v - c) >> w
+    return coeffs

@@ -5,8 +5,10 @@ values with trailing zeros stripped; the zero polynomial has an empty
 coefficient tuple.
 
 ``poly_gcd`` and ``squarefree_decomposition`` work on integer coefficient
-lists: they clear denominators, take gcds by primitive pseudo-remainders and
-divide exactly over the integers, and make only their results monic.
+lists, taking gcds by primitive pseudo-remainders and dividing exactly over
+the integers.  ``poly_gcd`` clears the denominators of its Poly arguments
+and makes only its result monic; ``squarefree_decomposition`` takes and
+returns integer lists, lowest degree first.
 """
 
 from __future__ import annotations
@@ -249,31 +251,33 @@ def check_modulus(f: Poly) -> Poly:
     return f
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm, run over the integers on the primitive part of p.
+def squarefree_decomposition(a: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on the primitive part of the integer polynomial a,
+    given lowest degree first with a nonzero leading coefficient.
 
-    Returns monic, squarefree, pairwise coprime factors with strictly
-    increasing exponents such that p equals its leading coefficient times
-    the product of factor**exponent.  Every gcd is primitive, so every
-    division by one is exact over the integers.
+    Returns primitive, squarefree, pairwise coprime integer factors, each
+    with a positive leading coefficient, with strictly increasing exponents,
+    such that a is its content, signed as its leading coefficient, times the
+    product of factor**exponent.  Every gcd is primitive, so every division
+    by one is exact over the integers.
     """
-    if p.is_zero():
+    if not a:
         raise ValueError("squarefree decomposition of the zero polynomial")
-    if p.degree < 1:
+    if len(a) < 2:
         return []
-    f = _primitive(_integers(p))
+    f = _primitive(a)
     d = _derivative(f)
     g = _gcd(f, _primitive(d))
     if len(g) == 1:
-        return [(Poly(f).monic(), 1)]
-    out: list[tuple[Poly, int]] = []
+        return [(f, 1)]
+    out: list[tuple[list[int], int]] = []
     w = _exact_div(f, g)
     z = _sub(_exact_div(d, g), _derivative(w))
     i = 1
     while len(w) > 1:
         gi = _gcd(w, _primitive(z))
         if len(gi) > 1:
-            out.append((Poly(gi).monic(), i))
+            out.append((gi, i))
             w = _exact_div(w, gi)
             z = _exact_div(z, gi)
         z = _sub(z, _derivative(w))

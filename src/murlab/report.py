@@ -221,7 +221,7 @@ def _replay_algebraic_params(g: Graph, data: dict) -> tuple[Optional[int], str]:
         return None, "algebraic certificate without an eigenvalue provenance"
     _, rest = graph_facts(g).laplacian_split
     try:
-        rest.exact_div(branch)
+        Poly(rest).exact_div(branch)
     except ArithmeticError:
         return None, "branch modulus does not divide the Laplacian spectrum"
     check_modulus(branch)  # a bad modulus is named before the point is read

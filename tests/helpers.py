@@ -2,7 +2,7 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -24,6 +24,7 @@ from murlab.engine import (
 )
 from murlab.families import FamilyMatch, family_matches
 from murlab.graphs import Graph, _bits, component_masks, diameter
+from murlab.matrices import charpoly
 from murlab.pathsearch import PathForestWitness, best_induced_path_forest
 from murlab.polynomials import Poly
 
@@ -115,6 +116,15 @@ def inverse_mod(a: Poly, f: Poly) -> Poly:
     if g.degree > 0:
         raise SplitRequired(g, f.exact_div(g).monic())
     return u % f
+
+
+def rational_charpoly(m) -> Poly:
+    """det(xI - m) for a square matrix of ints and Fractions, from the
+    integer ``charpoly`` of s*m, s the lcm of the denominators:
+    det(xI - m) = s^-n det(s x I - s m), so c_i(m) = c_i(s m) / s^(n - i)."""
+    s = lcm(*(Fraction(x).denominator for row in m for x in row))
+    cs = charpoly([[int(x * s) for x in row] for row in m])
+    return Poly(Fraction(c, s ** (len(m) - i)) for i, c in enumerate(cs))
 
 
 def x_minus(r) -> Poly:

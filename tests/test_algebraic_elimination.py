@@ -136,8 +136,8 @@ def laplacian_points(g):
     Laplacian spectrum: the points ``_refine_algebraic`` ranks."""
     _, rest = graph_facts(g).laplacian_split
     for f, _ in squarefree_decomposition(rest):
-        if f.degree >= 2:
-            yield f, ParamPoint(X, X * Fraction(-1, g.n), Poly((-1,)))
+        if len(f) >= 3:
+            yield Poly(f).monic(), ParamPoint(X, X * Fraction(-1, g.n), Poly((-1,)))
 
 
 def test_every_p_prime_laplacian_point_matches_the_reference():

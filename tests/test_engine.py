@@ -257,7 +257,7 @@ def _old_candidates(g):
     for comp_side in (False, True):
         side = g.complement() if comp_side else g
         # the Laplacian is an integer matrix, so its rational eigenvalues are integers
-        for lam, _ in integer_roots([c.numerator for c in charpoly(engine.laplacian(side)).coeffs]):
+        for lam, _ in integer_roots(charpoly(engine.laplacian(side))):
             if lam:
                 for p in (
                     ParamPoint(lam, Fraction(-lam, n), Fraction(-1)),

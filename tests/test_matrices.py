@@ -1,9 +1,15 @@
+"""Dense exact linear algebra: ranks, determinants, solves, characteristic
+polynomials and ranks over Q[x]/(f).
+
+The Berkowitz recursion the packed-determinant ``charpoly`` replaced is kept
+here verbatim as a reference (renamed)."""
+
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from murlab.engine import laplacian
+from murlab.engine import _delta_lines, _line_eigenvalues, laplacian
 from murlab.graphs import complete
 from murlab.matrices import (
     charpoly,
@@ -13,8 +19,9 @@ from murlab.matrices import (
     rank_rational,
     solve_int,
 )
-from murlab.polynomials import Poly, squarefree_decomposition
-from helpers import _gauss_jordan, x_minus
+from murlab.polynomials import Poly, _integers, squarefree_decomposition
+from murlab.verify import family_checks
+from helpers import _gauss_jordan, atlas7, rational_charpoly, x_minus
 
 
 def transpose(m):
@@ -92,15 +99,16 @@ def adjacency(g):
 def test_charpoly_square_cycle():
     from murlab.graphs import cycle
 
-    assert charpoly(adjacency(cycle(4))) == Poly((0, 0, -4, 0, 1))
+    assert rational_charpoly(adjacency(cycle(4))) == Poly((0, 0, -4, 0, 1))
 
 
 def test_charpoly_triangle():
-    assert charpoly(adjacency(complete(3))) == Poly((-2, -3, 0, 1))
+    assert rational_charpoly(adjacency(complete(3))) == Poly((-2, -3, 0, 1))
 
 
 def test_charpoly_zero_matrix():
-    assert charpoly([[0] * 4 for _ in range(4)]) == Poly((0, 0, 0, 0, 1))
+    assert charpoly([[0] * 4 for _ in range(4)]) == [0, 0, 0, 0, 1]
+    assert charpoly([]) == [1]
 
 
 def test_charpoly_nonsquare_rejected():
@@ -113,7 +121,101 @@ def test_charpoly_complete_laplacian():
     expected = Poly.x()
     for _ in range(11):
         expected = expected * x_minus(12)
-    assert charpoly(laplacian(complete(12))) == expected
+    assert Poly(charpoly(laplacian(complete(12)))) == expected
+
+
+def reference_charpoly(m) -> Poly:
+    """Monic characteristic polynomial det(xI - m) by Berkowitz's recursion.
+
+    The recursion is division-free, so it runs on the entries as they are:
+    over the integers for an integer matrix, and exactly for rational ones.
+    """
+    nr, nc = dimensions(m)
+    if nr != nc:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    c = [1]  # det(xI - m_r) for the leading r x r block m_r, highest degree first
+    for r in range(nr):
+        # With m_{r+1} = [[m_r, v], [w, m[r][r]]], det(xI - m_{r+1}) is the
+        # product of c with t = (1, -m[r][r], -w v, -w m_r v, ..., -w m_r^(r-1) v),
+        # truncated to degree r + 1.
+        rows = [[(j, x) for j, x in enumerate(m[i][:r]) if x] for i in range(r + 1)]
+        v = [m[i][r] for i in range(r)]
+        t = [1, -m[r][r]]
+        for _ in range(r):
+            t.append(-sum(x * v[j] for j, x in rows[r]))
+            v = [sum(x * v[j] for j, x in row) for row in rows[:r]]
+        c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return Poly(reversed(c))
+
+
+def assert_matches_the_reference(m):
+    cp = charpoly(m)
+    assert all(type(c) is int for c in cp) and len(cp) == len(m) + 1
+    assert Poly(cp) == reference_charpoly(m), m
+
+
+@st.composite
+def packed_matrices(draw):
+    """Integer matrices up to 15 x 15 with entries in -60..60, half of them
+    symmetric."""
+    n = draw(st.integers(0, 15))
+    bound = draw(st.sampled_from((1, 3, 60)))
+    entry = st.integers(-bound, bound)
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_matrices())
+def test_charpoly_matches_berkowitz(m):
+    assert_matches_the_reference(m)
+
+
+def sylvester(k):
+    """The symmetric Hadamard matrix of order 2^k: every eigenvalue is
+    +-2^(k/2), so its determinant is 2^(k 2^(k-1)), far above
+    (1 + its largest entry)^n = 2^(2^k) for k >= 3."""
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_charpoly_at_the_bound():
+    # Spectra that reach R, the largest absolute row sum: R I_n, whose
+    # constant term (-R)^n fills the top bit of a slot one bit short when R
+    # is a power of two and n is even; -R J_n, whose nonzero eigenvalue -nR
+    # has modulus its row sum nR; and diag(R, -R, ...).  The Sylvester
+    # matrices' coefficients pass (1 + their largest entry)^n.
+    for n in range(1, 16):
+        for r in (1, 2, 3, 4, 7, 8, 16, 60, 64):
+            diag = [r if i % 2 else -r for i in range(n)]
+            for m in (
+                [[r * (i == j) for j in range(n)] for i in range(n)],
+                [[-r] * n for _ in range(n)],
+                [[diag[i] * (i == j) for j in range(n)] for i in range(n)],
+            ):
+                assert_matches_the_reference(m)
+    for k in range(5):
+        assert_matches_the_reference(sylvester(k))
+    q = Poly((-8, 0, 1))
+    assert Poly(charpoly(sylvester(3))) == q * q * q * q
+
+
+def test_charpoly_on_the_atlas_laplacians():
+    for g in atlas7():
+        assert_matches_the_reference(laplacian(g))
+
+
+def test_charpoly_on_the_delta_lines():
+    # every matrix _line_eigenvalues builds, on every 5th atlas graph and on
+    # the family checks' graphs, up to 12 vertices
+    graphs = atlas7()[::5] + [g for _, g, _ in family_checks()]
+    for g in graphs:
+        for delta in _delta_lines(g):
+            assert_matches_the_reference(_line_eigenvalues(g, delta)[0])
 
 
 def fraction_det(m):
@@ -150,7 +252,7 @@ rational_matrices = st.integers(0, 6).flatmap(
 def test_charpoly_matches_determinants(m):
     # A monic polynomial of degree n is fixed by its values at n + 1 points.
     n = len(m)
-    cp = charpoly(m)
+    cp = rational_charpoly(m)
     assert cp.degree == n and cp.leading() == 1
     for x0 in range(-3, n - 2):
         shifted = [[x0 * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
@@ -191,7 +293,7 @@ int_matrices = st.integers(1, 5).flatmap(
 def test_det_and_solve_int(m, data):
     n = len(m)
     # the constant term of det(xI - m) is det(-m), computed by Berkowitz's recursion
-    assert det_int(m) == (-1) ** n * charpoly(m).coeffs[0]
+    assert det_int(m) == (-1) ** n * reference_charpoly(m).coeffs[0]
     b = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     x = solve_int(m, b)
     if det_int(m) == 0:
@@ -241,7 +343,7 @@ def test_rank_transpose_invariant(m):
 @given(sym_matrices)
 def test_cayley_hamilton(m):
     n = len(m)
-    cp = charpoly(m)
+    cp = rational_charpoly(m)
     acc = [[Fraction(0)] * n for _ in range(n)]
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for c in cp.coeffs:
@@ -254,8 +356,8 @@ def test_cayley_hamilton(m):
 
 @given(sym_matrices)
 def test_charpoly_degree_accounting(m):
-    cp = charpoly(m)
-    total = sum(g.degree * e for g, e in squarefree_decomposition(cp))
+    cp = _integers(rational_charpoly(m))
+    total = sum((len(f) - 1) * e for f, e in squarefree_decomposition(cp))
     assert total == len(m)
 
 

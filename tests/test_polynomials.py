@@ -5,6 +5,7 @@ The Fraction gcd and Yun loop that the integer kernel replaced are kept
 here verbatim as references (the gcd renamed)."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from murlab import polynomials
 from murlab.engine import laplacian
 from murlab.matrices import charpoly
-from murlab.polynomials import Poly, integer_roots, poly_gcd, squarefree_decomposition
+from murlab.polynomials import (
+    Poly, _integers, integer_roots, poly_gcd, squarefree_decomposition,
+)
 from murlab.verify import family_checks
 from helpers import atlas7, root_multiplicity, x_minus
 
@@ -62,6 +65,16 @@ def P(*coeffs):
     return Poly(coeffs)
 
 
+def decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """The integer kernel's decomposition of p, its denominators cleared,
+    with each factor checked primitive and made monic for comparison."""
+    out = []
+    for f, e in squarefree_decomposition(_integers(p)):
+        assert all(type(c) is int for c in f) and f[-1] > 0 and gcd(*f) == 1, f
+        out.append((Poly(f).monic(), e))
+    return out
+
+
 def test_gcd_shared_root():
     assert poly_gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)
 
@@ -79,17 +92,23 @@ def test_gcd_with_zero_is_monic():
 
 def test_squarefree_charpoly_shape():
     # x^4 - 4x^2 = x^2 (x^2 - 4)
-    assert squarefree_decomposition(P(0, 0, -4, 0, 1)) == [(P(-4, 0, 1), 1), (P(0, 1), 2)]
+    assert squarefree_decomposition([0, 0, -4, 0, 1]) == [([-4, 0, 1], 1), ([0, 1], 2)]
 
 
 def test_squarefree_cubic():
     p = P(1, 1) * P(1, 1) * P(-2, 1)
-    assert squarefree_decomposition(p) == [(P(-2, 1), 1), (P(1, 1), 2)]
+    assert squarefree_decomposition(_integers(p)) == [([-2, 1], 1), ([1, 1], 2)]
 
 
 def test_squarefree_of_squarefree():
     p = P(-6, 1, 1)  # (x - 2)(x + 3)
-    assert squarefree_decomposition(p * 5) == [(p, 1)]
+    assert squarefree_decomposition(_integers(p * 5)) == [([-6, 1, 1], 1)]
+    # primitive factors, each with a positive leading coefficient
+    # -2 (2x - 3) (x + 1)^2
+    assert squarefree_decomposition([6, 8, -2, -4]) == [([-3, 2], 1), ([1, 1], 2)]
+    assert squarefree_decomposition([7]) == []
+    with pytest.raises(ValueError):
+        squarefree_decomposition([])
 
 
 def test_integer_roots():
@@ -153,7 +172,7 @@ def test_squarefree_reconstructs(factors, scale):
         for _ in range(e):
             p = p * x_minus(r)
     rebuilt = Poly((p.leading(),))
-    for g, e in squarefree_decomposition(p):
+    for g, e in decomposition(p):
         for _ in range(e):
             rebuilt = rebuilt * g
     assert rebuilt == p
@@ -176,7 +195,7 @@ def test_integer_kernel_matches_the_rational_reference(planted, scale, other):
     for f, e in planted:
         for _ in range(e):
             p = p * f
-    assert squarefree_decomposition(p) == reference_squarefree_decomposition(p)
+    assert decomposition(p) == reference_squarefree_decomposition(p)
     for a, b in ((p, p.derivative()), (p, other * planted[0][0]), (other, p), (p * 3, Poly())):
         assert poly_gcd(a, b) == reference_poly_gcd(a, b)
 
@@ -184,8 +203,8 @@ def test_integer_kernel_matches_the_rational_reference(planted, scale, other):
 def test_integer_kernel_on_the_laplacian_polynomials():
     graphs = atlas7() + [g for _, g, _ in family_checks()]
     for g in graphs:
-        p = charpoly(laplacian(g))
-        assert squarefree_decomposition(p) == reference_squarefree_decomposition(p), g
+        p = Poly(charpoly(laplacian(g)))
+        assert decomposition(p) == reference_squarefree_decomposition(p), g
         assert poly_gcd(p, p.derivative()) == reference_poly_gcd(p, p.derivative()), g
 
 
@@ -199,4 +218,4 @@ def test_inexact_division_raises(monkeypatch):
     # A planted wrong gcd, x + 1, which does not divide (x - 2)^2 (x - 3).
     monkeypatch.setattr(polynomials, "_gcd", lambda a, b: [1, 1])
     with pytest.raises(ArithmeticError, match="inexact"):
-        squarefree_decomposition(P(-2, 1) * P(-2, 1) * P(-3, 1))
+        squarefree_decomposition(_integers(P(-2, 1) * P(-2, 1) * P(-3, 1)))
