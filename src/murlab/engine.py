@@ -1087,17 +1087,28 @@ def spread_bounds(g: Graph, v: int) -> tuple[int, int]:
 
 def mur_spread(g: Graph, v: int, budget: Budget = DEFAULT_BUDGET) -> SpreadResult:
     """mur(G) - mur(G minus v), exact when both sides are exact."""
+    if g.n >= 2 and not 0 <= v < g.n:
+        raise EngineError(f"vertex {v} out of range")
+    return _spreads(g, [v], budget)[0]
+
+
+def _spreads(
+    g: Graph, vertices: Iterable[int], budget: Budget = DEFAULT_BUDGET
+) -> list[SpreadResult]:
+    """``mur_spread`` at each of ``vertices``, with one ``compute_mur`` of g
+    for them all."""
     if g.n < 2:
         raise EngineError("spread needs at least two vertices")
-    if not 0 <= v < g.n:
-        raise EngineError(f"vertex {v} out of range")
     whole = compute_mur(g, budget)
-    deleted = compute_mur(g.delete_vertex(v), budget)
-    lo = whole.lower - deleted.upper
-    hi = whole.upper - deleted.lower
-    blo, bhi = spread_bounds(g, v)
-    if hi < blo or lo > bhi:
-        raise EngineError(
-            f"spread interval [{lo}, {hi}] misses the proven bounds [{blo}, {bhi}]"
-        )
-    return SpreadResult(v, lo, hi, whole, deleted)
+    out = []
+    for v in vertices:
+        deleted = compute_mur(g.delete_vertex(v), budget)
+        lo = whole.lower - deleted.upper
+        hi = whole.upper - deleted.lower
+        blo, bhi = spread_bounds(g, v)
+        if hi < blo or lo > bhi:
+            raise EngineError(
+                f"spread interval [{lo}, {hi}] misses the proven bounds [{blo}, {bhi}]"
+            )
+        out.append(SpreadResult(v, lo, hi, whole, deleted))
+    return out

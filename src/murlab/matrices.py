@@ -1,8 +1,10 @@
 """Dense exact linear algebra.
 
 Ranks over the rationals are computed over the integers, after scaling
-away the denominators: ranks, determinants and solves by one fraction-free
-(Bareiss) elimination whose every division is checked.  A characteristic
+away the denominators: ranks and determinants by one fraction-free
+(Bareiss) elimination whose every division is checked, square solves by a
+sparse elimination that keeps each row primitive and whose answer is checked
+against every equation.  A characteristic
 polynomial of an integer matrix is one such determinant, det(xI - m) at
 x = 2^w with w wide enough that its coefficients can be read off in w-bit
 slots (Kronecker substitution).
@@ -15,7 +17,7 @@ divisor splits f, and each factor's branch goes on from that column.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, inf, lcm
 from operator import mul
 from typing import Optional
 
@@ -112,13 +114,62 @@ def det_int(rows: list[list[int]]) -> int:
 
 def solve_int(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int]]:
     """The solution of the square integer system a x = b as integer
-    numerators over one common denominator, (y, den) with x = y / den; None
-    if a is singular.  den is the last pivot, +-det(a).
+    numerators over one common denominator, (y, den) with x = y / den in
+    lowest terms and den > 0; None if a is singular.
+
+    A sparse elimination over Z that keeps each row primitive.  The unknowns
+    are taken fewest nonzeros first; each one's pivot is the remaining row
+    with the smallest nonzero |entry| in its column (the first on ties).
+    Only rows with a nonzero head h are updated, to (piv/g) row - (h/g) top
+    with g = gcd(piv, h), and then divided by their content.  Back
+    substitution runs over one common denominator.  The result is checked
+    on every row, a y == den b, and a residual raises ArithmeticError.
     """
     n = len(a)
-    rows = [[*row, x] for row, x in zip(a, b)]
-    pivots, _ = _eliminate(rows, n)
-    return _back_substitute(rows, pivots) if len(pivots) == n else None
+    counts = [sum(map(bool, col)) for col in zip(*a)]
+    order = sorted(range(n), key=counts.__getitem__)
+    # Column k of these rows is unknown order[k].  Eliminating an unknown
+    # drops its column from every row left, so each row starts at its head.
+    rest = [[*map(row.__getitem__, order), x] for row, x in zip(a, b)]
+    echelon = []
+    for _ in order:
+        heads = [abs(row[0]) or inf for row in rest]
+        least = min(heads)
+        if least == inf:
+            return None
+        top = rest.pop(heads.index(least))
+        echelon.append(top)
+        piv, tail = top[0], top[1:]
+        for i, row in enumerate(rest):
+            head = row[0]
+            if head:
+                g = gcd(piv, head)
+                p, h = piv // g, head // g
+                row = [p * x - h * t for x, t in zip(row[1:], tail)]
+                content = gcd(*row)
+                rest[i] = [x // content for x in row] if content > 1 else row
+            else:
+                del row[0]
+    # ys: the unknowns after the current one, in order, as numerators over den
+    ys, den = [], 1
+    for top in reversed(echelon):
+        s = den * top[-1] - sum(map(mul, top[1:-1], ys))
+        g = gcd(s, top[0])
+        scale = top[0] // g
+        if scale != 1:
+            den *= scale
+            ys = [v * scale for v in ys]
+        ys.insert(0, s // g)
+    g = gcd(den, *ys)
+    if den < 0:
+        g = -g
+    y = [0] * n
+    for c, v in zip(order, ys):
+        y[c] = v // g
+    den //= g
+    if any(sum(map(mul, row, y)) != den * x for row, x in zip(a, b)):
+        raise ArithmeticError("solution fails the system")
+    return y, den
 
 
 def rank_rational(m) -> int:

@@ -121,6 +121,15 @@ def _side(g: Graph, data: dict) -> Graph:
     return graph_facts(g).complement if data.get("on_complement") else g
 
 
+def _count(data: dict, key: str) -> int:
+    """A count or bound of certificate data, which must be an int: a bool or
+    a float would pass wherever it equals the recomputed value."""
+    x = data[key]
+    if type(x) is not int:
+        raise TypeError(f"{key} {x!r} is not an integer")
+    return x
+
+
 def _replay_lower(g: Graph, cert: dict) -> tuple[Optional[int], str]:
     """Re-derive the lower bound implied by a certificate; None on mismatch."""
     kind, data = cert["kind"], cert["data"]
@@ -129,30 +138,27 @@ def _replay_lower(g: Graph, cert: dict) -> tuple[Optional[int], str]:
     if kind == "path_forest":
         side = _side(g, data)
         w = PathForestWitness(
-            [tuple(p) for p in data["paths"]], list(data["isolated"]), data["bound"]
+            [tuple(p) for p in data["paths"]], list(data["isolated"]), _count(data, "bound")
         )
         if not validate_path_forest(side, w):
             return None, "path forest witness failed validation"
         return w.bound, ""
     if kind == "diameter":
-        side = _side(g, data)
-        d = diameter(side)
-        if d == inf or int(d) != data["diameter"]:
-            return None, f"recomputed diameter {d} != {data['diameter']}"
-        return data["diameter"] - 1, ""
+        claimed = _count(data, "diameter")
+        d = diameter(_side(g, data))
+        if d == inf or int(d) != claimed:
+            return None, f"recomputed diameter {d} != {claimed}"
+        return claimed - 1, ""
     if kind == "not_in_rank01_families":
         floor = graph_facts(g).rank01_floor
         if floor == 0:
             return None, "graph is in a rank-0 family"
-        claimed = data["bound"]
+        claimed = _count(data, "bound")
         if claimed >= 2 and floor == 1:
             return None, "graph is in a rank-1 family"
         return min(claimed, 2), ""
     if kind == "family_formula":
-        fam = family_mur(g)
-        if fam is None or fam[0] != data["value"]:
-            return None, "family value could not be reproduced"
-        return data["value"], ""
+        return _replay_family_value(g, data)
     if kind == "minor_combination":
         return _replay_minor_combination(g, data)
     return None, f"unknown lower certificate kind {kind!r}"
@@ -226,10 +232,19 @@ def _replay_algebraic_params(g: Graph, data: dict) -> tuple[Optional[int], str]:
         return None, "branch modulus does not divide the Laplacian spectrum"
     check_modulus(branch)  # a bad modulus is named before the point is read
     reps = [Poly([_rational(c) for c in data[key]]) for key in ("beta", "gamma", "delta")]
+    claimed = _count(data, "rank")
     branches = rank_algebraic(universal_matrix(g, ParamPoint(*reps)), branch)
-    if any(r != data["rank"] for _, r in branches):
-        return None, f"recomputed ranks {[r for _, r in branches]} != {data['rank']}"
-    return data["rank"], ""
+    if any(r != claimed for _, r in branches):
+        return None, f"recomputed ranks {[r for _, r in branches]} != {claimed}"
+    return claimed, ""
+
+
+def _replay_family_value(g: Graph, data: dict) -> tuple[Optional[int], str]:
+    claimed = _count(data, "value")
+    fam = family_mur(g)
+    if fam is None or fam[0] != claimed:
+        return None, "family value could not be reproduced"
+    return claimed, ""
 
 
 def _replay_upper(g: Graph, cert: dict) -> tuple[Optional[int], str]:
@@ -244,28 +259,28 @@ def _replay_upper(g: Graph, cert: dict) -> tuple[Optional[int], str]:
             return None, "order bound needs n >= 2"
         return n - 2, ""
     if kind == "component_bound":
+        claimed = _count(data, "components")
         c = len(component_masks(_side(g, data), (1 << n) - 1))
-        if c != data["components"]:
-            return None, f"recomputed components {c} != {data['components']}"
+        if c != claimed:
+            return None, f"recomputed components {c} != {claimed}"
         return n - c, ""
     if kind == "laplacian_multiplicity":
         if len(component_masks(_side(g, data), (1 << n) - 1)) != 1:
             return None, "laplacian bound needs a connected side"
+        claimed = _count(data, "multiplicity")
         m = graph_facts(g).multiplicity
-        if m != data["multiplicity"]:
-            return None, f"recomputed multiplicity {m} != {data['multiplicity']}"
+        if m != claimed:
+            return None, f"recomputed multiplicity {m} != {claimed}"
         return n - m - 1, ""
     if kind == "family_formula":
-        fam = family_mur(g)
-        if fam is None or fam[0] != data["value"]:
-            return None, "family value could not be reproduced"
-        return data["value"], ""
+        return _replay_family_value(g, data)
     if kind == "explicit_params":
         if "modulus" in data:
             return _replay_algebraic_params(g, data)
+        claimed = _count(data, "rank")
         r = rank_rational(integer_universal_matrix(g, _parse_point(data)))
-        if r != data["rank"]:
-            return None, f"recomputed rank {r} != {data['rank']}"
+        if r != claimed:
+            return None, f"recomputed rank {r} != {claimed}"
         return r, ""
     return None, f"unknown upper certificate kind {kind!r}"
 

@@ -14,10 +14,10 @@ from . import graphs
 from .engine import (
     Budget,
     ParamPoint,
+    _spreads,
     complement_params,
     compute_mur,
     integer_universal_matrix,
-    mur_spread,
     spread_bounds,
     universal_matrix,
 )
@@ -101,12 +101,12 @@ def suite_spread_bounds() -> list[Check]:
     """Spread intervals stay inside the proven degree-based bounds."""
     out = []
     for name, g in _spread_corpus():
-        for v in range(g.n):
-            blo, bhi = spread_bounds(g, v)
-            sp = mur_spread(g, v)  # raises if the interval misses the bounds
+        # raises if an interval misses the bounds
+        for sp in _spreads(g, range(g.n)):
+            blo, bhi = spread_bounds(g, sp.vertex)
             inside = blo <= sp.lower and sp.upper <= bhi
             msg = f"[{sp.lower}, {sp.upper}] within [{blo}, {bhi}]"
-            out.append(Check(f"spread bounds {name} v={v}", inside, msg))
+            out.append(Check(f"spread bounds {name} v={sp.vertex}", inside, msg))
     return out
 
 

@@ -75,6 +75,36 @@ def _gauss_jordan(a, b):
     return [row[n] for row in m]
 
 
+# The Bareiss solve that matrices.solve_int's sparse elimination replaced,
+# kept verbatim: den is its last pivot, +-det(a), not reduced.
+def reference_solve_int(a, b):
+    """The solution of the square integer system a x = b as integer
+    numerators over one common denominator, (y, den) with x = y / den; None
+    if a is singular."""
+    n = len(a)
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    prev = 1
+    for c in range(n):
+        piv_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv_row is None:
+            return None
+        aug[c], aug[piv_row] = aug[piv_row], aug[c]
+        piv, top = aug[c][c], aug[c]
+        for i in range(c + 1, n):
+            row = aug[i]
+            head = row[c]
+            for j in range(c + 1, n + 1):
+                row[j] = (piv * row[j] - head * top[j]) // prev
+            row[c] = 0
+        prev = piv
+    den = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        s = den * aug[i][n] - sum(aug[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = s // aug[i][i]
+    return y, den
+
+
 # The Q[x]/(f) inversion by extended Euclid that rank_algebraic's integer
 # elimination replaced, kept verbatim as the oracle of its reference loop.
 def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

@@ -43,7 +43,7 @@ from murlab.graphs import (
 )
 from murlab.matrices import charpoly, det_int, rank_rational
 from murlab.polynomials import integer_roots
-from murlab.verify import family_checks
+from murlab.verify import _spread_corpus, family_checks, suite_spread_bounds
 from helpers import (
     _gauss_jordan,
     atlas7,
@@ -1001,6 +1001,31 @@ def test_minors_one_order_below_the_upper_bound(g6):
     res = compute_mur(parse_graph6(g6))
     assert res.interval() == (4, 5)
     assert res.lower_cert.kind == "minor_combination" and res.lower_cert.data["k"] == 4
+
+
+def test_spread_suite_runs_each_whole_graph_once(monkeypatch):
+    # 8 whole graphs and 50 deleted ones; each check is the one mur_spread
+    # gives at its vertex.
+    runs = spy_on(monkeypatch, "compute_mur")
+    checks = suite_spread_bounds()
+    assert len(runs) == 58 and len(checks) == 50
+    assert [g for g, _ in runs] == [
+        h for _, g in _spread_corpus() for h in (g, *map(g.delete_vertex, range(g.n)))
+    ]
+    monkeypatch.undo()
+    want = []
+    for name, g in _spread_corpus():
+        for v in range(g.n):
+            sp, (blo, bhi) = mur_spread(g, v), spread_bounds(g, v)
+            msg = f"[{sp.lower}, {sp.upper}] within [{blo}, {bhi}]"
+            want.append((f"spread bounds {name} v={v}", blo <= sp.lower and sp.upper <= bhi, msg))
+    assert checks == want
+
+
+def test_spread_suite_raises_on_an_interval_past_the_bounds(monkeypatch):
+    monkeypatch.setattr(engine, "spread_bounds", lambda g, v: (5, 6))
+    with pytest.raises(EngineError, match="misses the proven bounds"):
+        suite_spread_bounds()
 
 
 def test_spread_bounds_formula():

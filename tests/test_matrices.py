@@ -5,6 +5,7 @@ The Berkowitz recursion the packed-determinant ``charpoly`` replaced is kept
 here verbatim as a reference (renamed)."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,9 +318,9 @@ def test_solve_int_matches_fraction_elimination(m, data):
     if want is None:
         assert got is None
     else:
-        # integer numerators over the last pivot, which is +-det(m)
+        # integer numerators over a positive denominator, in lowest terms
         y, den = got
-        assert all(type(v) is int for v in y) and abs(den) == abs(det_int(m))
+        assert all(type(v) is int for v in y) and den > 0 and gcd(den, *y) == 1
         assert [Fraction(v, den) for v in y] == want
 
 

@@ -8,6 +8,7 @@ bounds must still hold for the known value.
 
 import ast
 import copy
+import json
 from functools import cache
 from pathlib import Path
 
@@ -178,6 +179,59 @@ def test_replay_fails_bound_two_on_a_rank_one_family(g):
     forged = Certificate("not_in_rank01_families", {"bound": 2})
     doc = build_report(g, MurResult(2, forged, 3, Certificate("order_bound")), TINY, 0.1)
     assert failed(doc) == [("lower certificate", "graph is in a rank-1 family")]
+
+
+# The count or bound each kind's data carries, which replay compares with
+# the one it recomputes.
+COUNTS = {
+    "diameter": "diameter",
+    "path_forest": "bound",
+    "not_in_rank01_families": "bound",
+    "family_formula": "value",
+    "component_bound": "components",
+    "laplacian_multiplicity": "multiplicity",
+    "explicit_params": "rank",
+}
+
+
+def stored_reports():
+    """The genuine reports of the benchmark's replay data: every kind the
+    pipeline writes, the algebraic explicit_params included."""
+    data = json.loads((Path(__file__).parents[1] / "perfbench/data/reports.json").read_text())
+    return [entry["doc"] for entry in data["genuine"]]
+
+
+def test_replay_fails_a_count_that_is_not_an_int():
+    # A float or bool equal to the recomputed count, or its digits as a
+    # string, must not pass for it.
+    seen, bools = set(), 0
+    for genuine in [doc for _, _, doc in genuine_reports()] + stored_reports():
+        for bound in ("lower", "upper"):
+            cert = genuine[f"{bound}_certificate"]
+            key = COUNTS.get(cert["kind"])
+            if key is None:
+                continue
+            x = cert["data"][key]
+            forgeries = [float(x), str(x)] + ([bool(x)] if x in (0, 1) else [])
+            bools += len(forgeries) == 3
+            for forged in forgeries:
+                doc = copy.deepcopy(genuine)
+                doc[f"{bound}_certificate"]["data"][key] = forged
+                message = f"unreadable certificate data: TypeError: {key} {forged!r} is not an integer"
+                assert failed(doc) == [(f"{bound} certificate", message)]
+            seen.add((bound, cert["kind"], "modulus" in cert["data"]))
+    assert seen >= {
+        ("lower", "diameter", False),
+        ("lower", "path_forest", False),
+        ("lower", "not_in_rank01_families", False),
+        ("lower", "family_formula", False),
+        ("upper", "family_formula", False),
+        ("upper", "component_bound", False),
+        ("upper", "laplacian_multiplicity", False),
+        ("upper", "explicit_params", False),
+        ("upper", "explicit_params", True),
+    }
+    assert bools
 
 
 def written_kinds():
