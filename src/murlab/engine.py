@@ -20,9 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .families import family_matches
 from .graphs import Graph, component_masks, diameter, earlier_twins
-from .matrices import (
-    _back_substitute, _eliminate, charpoly, det_int, rank_algebraic, solve_int,
-)
+from .matrices import charpoly, det_int, rank_algebraic, solve_int
 from .pathsearch import (
     DEFAULT_NODE_BUDGET,
     PathForestResult,
@@ -757,7 +755,7 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
 
 def _solve_minor_weights(k, pivots, chosen) -> Optional[Certificate]:
     # The pivot entries of the echelon basis make the chosen minors' square
-    # system nonsingular modulo the prime, hence over Q.
+    # system nonsingular modulo the prime, hence over Q: it has one solution.
     one = constant_one(k)
     solved = solve_int([[v[p] for _, _, v in chosen] for p in pivots], [one[p] for p in pivots])
     if solved is None:
@@ -918,29 +916,28 @@ def _line_eigenvalues(g: Graph, delta: Fraction) -> tuple[list[list[int]], list[
     return m, sorted(roots, key=lambda r: -r[1])
 
 
-def _drop_point(m: list[list[int]], mu: int, delta: Fraction) -> tuple[ParamPoint, int]:
+def _drop_point(
+    m: list[list[int]], mu: int, mult: int, delta: Fraction
+) -> tuple[ParamPoint, int]:
     """The point of lowest rank with beta = -mu/s on the line of delta, and
-    that rank.
+    that rank, for mu an eigenvalue of m of multiplicity ``mult``.
 
-    B = U(beta, 0, delta) is symmetric.  J = 11^T has rank one, so the rank
-    of B + gamma*J is at least rank(B) - 1, and it reaches that exactly when
-    B x = 1 has a solution with 1^T x != 0, at gamma = -1/(1^T x); otherwise
-    gamma = 0 is best.  1^T x is the same for every solution, since B is
-    symmetric and 1 is orthogonal to its kernel.  One elimination of
-    [s*B | 1] decides it: its pivots give rank(B), and the system is
-    solvable exactly when no row left without a pivot has a nonzero
-    right-hand side.
+    B = U(beta, 0, delta) is symmetric, so its rank is n - mult.  J = 11^T
+    has rank one, so the rank of B + gamma*J is at least rank(B) - 1, and it
+    reaches that exactly when B x = 1 has a solution with 1^T x != 0, at
+    gamma = -1/(1^T x); otherwise gamma = 0 is best.  1^T x is the same for
+    every solution, since B is symmetric and 1 is orthogonal to its kernel.
+    One solve of (s*B) x = 1 decides it.
     """
-    s = delta.denominator
-    rows = [[x - mu if i == j else x for j, x in enumerate(row)] + [1] for i, row in enumerate(m)]
-    pivots, _ = _eliminate(rows, len(m))
+    n, s = len(m), delta.denominator
+    b = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    solved = solve_int(b, [1] * n)
     gamma = Fraction(0)
-    if not any(row[-1] for row in rows[len(pivots):]):
+    if solved and sum(solved[0]):
         # y / den solves (s*B) x = 1, so B (s x) = 1
-        y, den = _back_substitute(rows, pivots)
-        if sum(y):
-            gamma = Fraction(-den, s * sum(y))
-    rank = len(pivots) - 1 if gamma else len(pivots)
+        y, den = solved
+        gamma = Fraction(-den, s * sum(y))
+    rank = n - mult - 1 if gamma else n - mult
     return ParamPoint(Fraction(-mu, s), gamma, delta), rank
 
 
@@ -962,7 +959,7 @@ def search_lines(
         for mu, mult in eigenvalues:
             if n - mult - 1 >= upper:
                 break
-            p, r = _drop_point(m, mu, delta)
+            p, r = _drop_point(m, mu, mult, delta)
             if r < upper:
                 upper, cert = r, _param_cert(p, r)
     return upper, cert

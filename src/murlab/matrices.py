@@ -2,12 +2,12 @@
 
 Ranks over the rationals are computed over the integers, after scaling
 away the denominators: ranks and determinants by one fraction-free
-(Bareiss) elimination whose every division is checked, square solves by a
-sparse elimination that keeps each row primitive and whose answer is checked
-against every equation.  A characteristic
-polynomial of an integer matrix is one such determinant, det(xI - m) at
-x = 2^w with w wide enough that its coefficients can be read off in w-bit
-slots (Kronecker substitution).
+(Bareiss) elimination whose every division is checked, every square solve
+by a sparse elimination that keeps each row primitive and whose answer is
+checked against every equation.  A characteristic polynomial of an integer
+matrix is one such determinant, det(xI - m) at x = 2^w with w wide enough
+that its coefficients can be read off in w-bit slots (Kronecker
+substitution).
 Rank over an algebraic extension Q[x]/(f) runs the same elimination on
 integer coefficient vectors in a root of a monic integer rescaling of f,
 with each division by a previous pivot checked too.  A pivot that is a zero
@@ -21,7 +21,7 @@ from math import gcd, inf, lcm
 from operator import mul
 from typing import Optional
 
-from .polynomials import Poly, check_modulus, poly_gcd
+from .polynomials import Poly, _exact_div, _gcd, check_modulus
 
 def dimensions(m) -> tuple[int, int]:
     rows = len(m)
@@ -42,21 +42,19 @@ def _integer_rows(m) -> list[list[int]]:
     return out
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
-    Pivots are taken in the first ``ncols`` columns only; later columns (a
-    right-hand side) are carried along.  Returns the pivot columns, in
-    increasing order, and the number of row swaps.  The top len(pivots) rows
-    are left in echelon form and the others zero in the first ``ncols``
-    columns.  Each entry below a pivot row is a minor of the input
-    (Sylvester's identity), so every division by the previous pivot is
-    exact; one that is not raises ArithmeticError.
+    Returns the pivot columns, in increasing order, and the number of row
+    swaps.  The top len(pivots) rows are left in echelon form and the others
+    zero.  Each entry below a pivot row is a minor of the input (Sylvester's
+    identity), so every division by the previous pivot is exact; one that is
+    not raises ArithmeticError.
     """
     nr = len(rows)
     pivots: list[int] = []
     swaps, prev = 0, 1
-    for c in range(ncols):
+    for c in range(len(rows[0]) if nr else 0):
         r = len(pivots)
         if r == nr:
             break
@@ -80,50 +78,33 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, swaps
 
 
-def _back_substitute(rows: list[list[int]], pivots: list[int]) -> tuple[list[int], int]:
-    """The solution of the echelon rows ``_eliminate`` leaves, with the last
-    column as right-hand side and zero off the pivot columns, as integer
-    numerators over one denominator: x at column pivots[i] is y[i] / den.
-
-    den is the last pivot, +-det of the pivot block, so den * x is integral
-    by Cramer's rule and each division is exact; one that is not raises
-    ArithmeticError.
-    """
-    r = len(pivots)
-    den = rows[r - 1][pivots[-1]] if r else 1
-    y = [0] * r
-    for i in range(r - 1, -1, -1):
-        row = rows[i]
-        s = den * row[-1] - sum(row[pivots[j]] * y[j] for j in range(i + 1, r))
-        y[i], rem = divmod(s, row[pivots[i]])
-        if rem:
-            raise ArithmeticError("back substitution not exact")
-    return y, den
-
-
 def det_int(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix: the last pivot of its
     elimination, signed by the row swaps, or 0 when the rank is short."""
     n = len(rows)
     a = [list(row) for row in rows]
-    pivots, swaps = _eliminate(a, n)
+    pivots, swaps = _eliminate(a)
     if len(pivots) < n:
         return 0
     return (-1) ** swaps * a[-1][-1] if n else 1
 
 
 def solve_int(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int]]:
-    """The solution of the square integer system a x = b as integer
+    """A solution of the square integer system a x = b as integer
     numerators over one common denominator, (y, den) with x = y / den in
-    lowest terms and den > 0; None if a is singular.
+    lowest terms and den > 0; None if the system has none.
 
     A sparse elimination over Z that keeps each row primitive.  The unknowns
     are taken fewest nonzeros first; each one's pivot is the remaining row
     with the smallest nonzero |entry| in its column (the first on ties).
     Only rows with a nonzero head h are updated, to (piv/g) row - (h/g) top
-    with g = gcd(piv, h), and then divided by their content.  Back
-    substitution runs over one common denominator.  The result is checked
-    on every row, a y == den b, and a residual raises ArithmeticError.
+    with g = gcd(piv, h), and then divided by their content.  An unknown no
+    remaining row has is free, and set to 0 by the row x = 0 in its place;
+    a row left without a pivot but with a nonzero right-hand side makes the
+    system inconsistent.  A nonsingular a has no free unknown and one
+    solution.  Back substitution runs over one common denominator.  The
+    result is checked on every row, a y == den b, and a residual raises
+    ArithmeticError.
     """
     n = len(a)
     counts = [sum(map(bool, col)) for col in zip(*a)]
@@ -132,12 +113,10 @@ def solve_int(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int
     # drops its column from every row left, so each row starts at its head.
     rest = [[*map(row.__getitem__, order), x] for row, x in zip(a, b)]
     echelon = []
-    for _ in order:
+    for k in range(n):
         heads = [abs(row[0]) or inf for row in rest]
         least = min(heads)
-        if least == inf:
-            return None
-        top = rest.pop(heads.index(least))
+        top = rest.pop(heads.index(least)) if least < inf else [1] + [0] * (n - k)
         echelon.append(top)
         piv, tail = top[0], top[1:]
         for i, row in enumerate(rest):
@@ -150,6 +129,8 @@ def solve_int(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int
                 rest[i] = [x // content for x in row] if content > 1 else row
             else:
                 del row[0]
+    if any(row[0] for row in rest):
+        return None
     # ys: the unknowns after the current one, in order, as numerators over den
     ys, den = [], 1
     for top in reversed(echelon):
@@ -174,8 +155,8 @@ def solve_int(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int
 
 def rank_rational(m) -> int:
     """Exact rank of a matrix with rational entries."""
-    _, nc = dimensions(m)
-    return len(_eliminate(_integer_rows(m), nc)[0])
+    dimensions(m)
+    return len(_eliminate(_integer_rows(m))[0])
 
 
 def _mul_matrix(a: list[int], f: list[int]) -> list[tuple[int, ...]]:
@@ -210,9 +191,12 @@ def rank_algebraic(m, modulus: Poly) -> list[tuple[Poly, int]]:
     The elimination is ``_eliminate``'s, run over Z[eta] with eta = s * theta
     a root of the monic integer F(y) = s^d modulus(y / s).  A step divides by
     the previous pivot as a product with its inverse N / D and an exact
-    division by the integer D.  A pivot whose multiplication matrix is
-    singular is a zero divisor: F splits by a gcd (the D5 principle), and
-    each factor goes on from the same column as its own branch.
+    division by the integer D, N / D the ``solve_int`` solution of a x = 1
+    for the pivot a.  That system is solvable exactly when a is a unit,
+    which is exactly when its multiplication matrix is nonsingular.  A
+    pivot with no inverse is a zero divisor: F splits by a gcd (the D5
+    principle), and each factor goes on from the same column as its own
+    branch.
     """
     nr, nc = dimensions(m)
     f = check_modulus(modulus)
@@ -221,12 +205,14 @@ def rank_algebraic(m, modulus: Poly) -> list[tuple[Poly, int]]:
     reduced: dict = {}
     rows = []
     for row in m:
+        # by identity: U's entries repeat as objects, and a Poly hashes slowly
         for e in row:
-            if e not in reduced:
+            if id(e) not in reduced:
                 red = (e if isinstance(e, Poly) else Poly((e,))) % f
-                reduced[e] = [red[i] / s**i for i in range(d)]
-        scale = lcm(*(c.denominator for e in row for c in reduced[e]))
-        rows.append([[c.numerator * (scale // c.denominator) for c in reduced[e]] for e in row])
+                reduced[id(e)] = [red[i] / s**i for i in range(d)]
+        entries = [reduced[id(e)] for e in row]
+        scale = lcm(*(c.denominator for v in entries for c in v))
+        rows.append([[c.numerator * (scale // c.denominator) for c in v] for v in entries])
 
     def go(rows, F: list[int], r: int, c0: int, N: list[int], D: int) -> list:
         k = len(F) - 1
@@ -241,10 +227,14 @@ def rank_algebraic(m, modulus: Poly) -> list[tuple[Poly, int]]:
             mul_piv = _mul_matrix(top[c], F)
             inverse = solve_int(mul_piv, [1] + [0] * (k - 1))
             if inverse is None:
-                g = poly_gcd(Poly(top[c]), Poly(F))
+                a = list(top[c])
+                while not a[-1]:
+                    a.pop()
+                # a divisor of the monic F is a multiple of a monic integer one
+                g = _gcd(F, a)
+                g = [x // g[-1] for x in g]
                 out = []
-                for b in (g, Poly(F).exact_div(g)):
-                    G = [int(x) for x in b.coeffs]  # monic factors of F are integral
+                for G in (g, _exact_div(F, g)):
                     out += go([[_reduce(e, G) for e in row] for row in rows], G, r, c,
                               _reduce(N, G), D)
                 return out
@@ -282,10 +272,8 @@ def charpoly(m: list[list[int]]) -> list[int]:
     With R the largest absolute row sum of m, every eigenvalue has |lambda|
     <= R, so each coefficient, an elementary symmetric function of the
     eigenvalues, has |c_i| <= (1 + R)^n.  w is one bit more than that bound
-    takes, so each c_i fits a signed w-bit slot of p(2^w) = det(2^w I - m).
-    As 2^w > R, every leading principal minor of 2^w I - m is nonzero too:
-    ``_eliminate`` takes its pivots on the diagonal with no row swap, and
-    the last pivot is the determinant.
+    takes, so each c_i fits a signed w-bit slot of p(2^w) = det(2^w I - m),
+    which ``det_int`` computes.
     """
     n, nc = dimensions(m)
     if n != nc:
@@ -293,9 +281,7 @@ def charpoly(m: list[list[int]]) -> list[int]:
     bound = (1 + max((sum(map(abs, row)) for row in m), default=0)) ** n
     w = bound.bit_length() + 1
     x = 1 << w
-    rows = [[x - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m)]
-    _eliminate(rows, n)
-    v = rows[-1][-1] if n else 1
+    v = det_int([[x - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m)])
     half, mask = x >> 1, x - 1
     coeffs = []
     for _ in range(n + 1):

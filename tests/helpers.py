@@ -2,7 +2,8 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -23,8 +24,8 @@ from murlab.engine import (
     structural_upper,
 )
 from murlab.families import FamilyMatch, family_matches
-from murlab.graphs import Graph, _bits, component_masks, diameter
-from murlab.matrices import charpoly
+from murlab.graphs import Graph, _bits, component_masks, diameter, parse_graph6
+from murlab.matrices import charpoly, rank_rational
 from murlab.pathsearch import PathForestWitness, best_induced_path_forest
 from murlab.polynomials import Poly
 
@@ -50,11 +51,27 @@ def friendship(k):
     return Graph.from_edges(2 * k + 1, edges)
 
 
+ATLAS7 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "atlas7.txt"
+
+
 def atlas7():
-    nx = pytest.importorskip("networkx")
-    return [
-        Graph.from_edges(7, list(g.edges())) for g in nx.graph_atlas_g() if g.number_of_nodes() == 7
-    ]
+    """The 1044 seven-vertex graphs of networkx's graph atlas, in its order,
+    read from the committed graph6 lines (index, graph6, complement index)."""
+    lines = ATLAS7.read_text().splitlines()
+    return [parse_graph6(line.split()[1]) for line in lines if not line.startswith("#")]
+
+
+def assert_solves(a, b, got):
+    """got, a solve of a x = b, is None exactly when the system is
+    inconsistent (appending b raises the rank), and otherwise integer
+    numerators over a positive denominator, in lowest terms, that satisfy
+    every row."""
+    if rank_rational([[*row, x] for row, x in zip(a, b)]) > rank_rational(a):
+        assert got is None
+        return
+    y, den = got
+    assert all(type(v) is int for v in y) and den > 0 and gcd(den, *y) == 1
+    assert [sum(u * v for u, v in zip(row, y)) for row in a] == [den * x for x in b]
 
 
 def _gauss_jordan(a, b):

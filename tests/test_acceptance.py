@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from murlab.engine import (
     Budget,
     Certificate,
@@ -46,7 +44,7 @@ from murlab.verify import (
     suite_pprime,
     suite_spread_bounds,
 )
-from helpers import rational_charpoly
+from helpers import atlas7, rational_charpoly
 
 def announce(criterion: str, failures: list):
     status = "FAIL" if failures else "PASS"
@@ -145,12 +143,7 @@ def test_criterion_3_property_suites():
 
 
 def test_criterion_3_seven_vertex_corpus():
-    nx = pytest.importorskip("networkx")
-    graphs = [
-        Graph.from_edges(7, list(g.edges()))
-        for g in nx.graph_atlas_g()
-        if g.number_of_nodes() == 7
-    ]
+    graphs = atlas7()
     assert len(graphs) == 1044
     failures = []
     exact = 0

@@ -99,6 +99,35 @@ def test_benchmark_imports_resolve():
     assert checked and not missing, f"perfbench/ imports names the package lacks: {missing}"
 
 
+# Underscore names that a package module imports from another one, each
+# with its reason; an entry that is no longer imported fails the test below.
+PRIVATE_IMPORTS_ALLOWED = {
+    ("families", "_bits"): "the vertices of a bitmask, as graphs.py lists them",
+    ("pathsearch", "_bits"): "the vertices of a bitmask, as graphs.py lists them",
+    ("report", "_point_values"): "replay reads a minor's values as the minors stage does",
+    ("verify", "_spreads"): "the spread-bounds suite runs one compute_mur per whole graph",
+    ("matrices", "_gcd"): "rank_algebraic splits its modulus as an integer list",
+    ("matrices", "_exact_div"): "rank_algebraic splits its modulus as an integer list",
+}
+
+
+def test_no_private_names_imported_across_modules():
+    # An underscore name is a module's own; another module that needs it
+    # either goes through a public name or is listed above.
+    package = Path(murlab.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "murlab"
+            ):
+                found |= {(path.stem, a.name) for a in node.names if a.name.startswith("_")}
+    unlisted = sorted(found - PRIVATE_IMPORTS_ALLOWED.keys())
+    stale = sorted(PRIVATE_IMPORTS_ALLOWED.keys() - found)
+    assert not unlisted, f"underscore names imported from another package module: {unlisted}"
+    assert not stale, f"allowed as private imports, but not imported: {stale}"
+
+
 # Defined under src/murlab/ but named only outside it; a name here that the
 # package comes to use, or stops defining, fails the test below.
 DEAD_CODE_ALLOWED = {

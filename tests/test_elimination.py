@@ -1,10 +1,10 @@
-"""One fraction-free elimination for rank, determinant and the delta-line
-drop point, and the sparse integer solve.
+"""One fraction-free elimination for rank and determinant, and one sparse
+integer solve for every square system: the minor weights, the pivot
+inverses of ``rank_algebraic`` and the delta-line drop points.
 
-The Bareiss loops and the two-pass drop point the elimination replaced are
-kept here verbatim as references (with the matrix helpers they called
-renamed); the Bareiss solve that the sparse solve replaced is
-``helpers.reference_solve_int``.
+The Bareiss loops and the two-pass drop point are kept here verbatim as
+references (with the matrix helpers they called renamed); the Bareiss solve
+that the sparse solve replaced is ``helpers.reference_solve_int``.
 """
 
 import inspect
@@ -22,9 +22,9 @@ from murlab.engine import (
     integer_universal_matrix,
 )
 from murlab.graphs import cycle
-from murlab.matrices import _back_substitute, _eliminate, det_int, rank_rational, solve_int
+from murlab.matrices import _eliminate, det_int, rank_rational, solve_int
 from murlab.verify import _random_graph, family_checks
-from helpers import atlas7, reference_solve_int
+from helpers import assert_solves, atlas7, reference_solve_int
 
 
 def reference_bareiss_pivots(rows: list[list[int]]) -> list[int]:
@@ -112,6 +112,17 @@ def same_solution(got, want):
     return got[1] > 0 and gcd(got[1], *got[0]) == 1 and rationals(*got) == rationals(*want)
 
 
+def assert_solve_contract(a, b):
+    """On a nonsingular a, solve_int's answer is the Bareiss solve's; on a
+    singular one, it is a verified solution exactly when a x = b is
+    consistent, and None otherwise."""
+    want = reference_solve_int(a, b)
+    if want is None:
+        assert_solves(a, b, solve_int(a, b))
+    else:
+        assert same_solution(solve_int(a, b), want)
+
+
 entries = st.one_of(st.just(0), st.integers(-9, 9))
 
 
@@ -134,7 +145,7 @@ def int_matrices(draw, square=False):
 def test_pivots_and_rank_match_the_reference(m):
     want = reference_bareiss_pivots([list(row) for row in m])
     rows = [list(row) for row in m]
-    assert _eliminate(rows, len(m[0]) if m else 0)[0] == want
+    assert _eliminate(rows)[0] == want
     assert rank_rational(m) == len(want)
     # the rows without a pivot are left zero
     assert not any(x for row in rows[len(want):] for x in row)
@@ -146,25 +157,21 @@ def test_determinant_and_solve_match_the_reference(m, data):
     n = len(m)
     assert det_int(m) == reference_det_int(m)
     b = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
-    assert same_solution(solve_int(m, b), reference_solve_int(m, b))
+    assert_solve_contract(m, b)
 
 
 @settings(max_examples=300)
 @given(int_matrices(), st.data())
 def test_rectangular_systems(m, data):
-    # [a | b] eliminated on a's columns: consistent exactly when appending b
-    # keeps the rank, and then y / den on the pivot columns solves a x = b.
-    nc = len(m[0]) if m else 0
-    b = data.draw(st.lists(st.integers(-9, 9), min_size=len(m), max_size=len(m)))
-    rows = [[*row, x] for row, x in zip(m, b)]
-    pivots, _ = _eliminate(rows, nc)
-    consistent = not any(row[-1] for row in rows[len(pivots):])
-    augmented = reference_bareiss_pivots([[*row, x] for row, x in zip(m, b)])
-    assert consistent == (len(augmented) == len(pivots))
-    if consistent:
-        y, den = _back_substitute(rows, pivots)
-        x = dict(zip(pivots, rationals(y, den)))
-        assert [sum(a * x.get(j, 0) for j, a in enumerate(row)) for row in m] == b
+    # a x = b padded to a square system, by zero rows with a zero right-hand
+    # side or by zero columns for free unknowns, has the same solutions
+    nr, nc = len(m), len(m[0]) if m else 0
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=nr, max_size=nr))
+    n = max(nr, nc)
+    a = [[*row, *[0] * (n - nc)] for row in m] + [[0] * n] * (n - nr)
+    got = solve_int(a, [*b, *[0] * (n - nr)])
+    assert_solves(m, b, None if got is None else (got[0][:nc], got[1]))
+    assert got is None or not any(got[0][nc:])
 
 
 @st.composite
@@ -194,7 +201,46 @@ def square_systems(draw):
 @given(square_systems())
 def test_solve_matches_the_bareiss_solve(system):
     a, b = system
-    assert same_solution(solve_int(a, b), reference_solve_int(a, b))
+    assert_solve_contract(a, b)
+
+
+@st.composite
+def singular_systems(draw):
+    """(a, b) up to 12 x 12 with 1 to n planted rows that combine the
+    others, and b either a x0 for an integer x0 (consistent) or drawn
+    freely (most often off the column space)."""
+    n = draw(st.integers(1, 12))
+    size = draw(st.sampled_from([3, 9, 1000]))
+    entry = st.integers(-size, size)
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    planted = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    for i in planted:
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        a[i] = [sum(c * row[j] for c, row in zip(coeffs, a) if row is not a[i]) for j in range(n)]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entry, min_size=n, max_size=n))
+        b = [sum(u * v for u, v in zip(row, x0)) for row in a]
+    else:
+        b = draw(st.lists(entry, min_size=n, max_size=n))
+    return a, b
+
+
+@settings(max_examples=400)
+@given(singular_systems())
+def test_singular_systems_solve_exactly_when_consistent(system):
+    a, b = system
+    assert det_int(a) == 0
+    assert_solves(a, b, solve_int(a, b))
+
+
+def test_singular_examples():
+    # a free unknown is set to 0; a leftover row with a nonzero right-hand
+    # side has no solution
+    assert solve_int([[1, 2], [2, 4]], [3, 6]) == ([3, 0], 1)
+    assert solve_int([[1, 2], [2, 4]], [3, 5]) is None
+    assert solve_int([[0, 0], [0, 2]], [0, 1]) == ([0, 1], 2)
+    assert solve_int([[0, 0], [0, 0]], [0, 0]) == ([0, 0], 1)
+    assert solve_int([[0]], [1]) is None
 
 
 def test_the_empty_system():
@@ -205,11 +251,12 @@ def test_solve_on_every_weight_system(monkeypatch):
     # Every minor-weight system compute_mur meets on every 5th atlas graph,
     # the family graphs and seeded G(8, 1/2) and G(9, 1/2).  (A family
     # formula settles its graphs before the minors stage, so today they
-    # meet none.)
+    # meet none.)  Each is nonsingular, so the reference solves it too.
     systems = []
 
     def spy(a, b):
-        systems.append((a, b))
+        if inspect.currentframe().f_back.f_code is engine._solve_minor_weights.__code__:
+            systems.append((a, b))
         return solve_int(a, b)
 
     monkeypatch.setattr(engine, "solve_int", spy)
@@ -222,7 +269,8 @@ def test_solve_on_every_weight_system(monkeypatch):
         compute_mur(g)
     assert len(systems) > 200
     for a, b in systems:
-        assert same_solution(solve_int(a, b), reference_solve_int(a, b))
+        want = reference_solve_int(a, b)
+        assert want is not None and same_solution(solve_int(a, b), want)
 
 
 # Unknowns in the order 1, 2, 3, 0 (fewest nonzeros first); every fault
@@ -260,18 +308,19 @@ def test_a_planted_solve_fault_raises(monkeypatch, old, new):
 
 
 def test_drop_points_on_every_delta_line_of_the_seven_vertex_atlas():
+    # and of the family checks' graphs, up to 12 vertices
     tried = 0
-    for g in atlas7():
+    for g in [*atlas7(), *(g for _, g, _ in family_checks())]:
         # -1 is not searched (see _delta_lines), but its points are still
         # ranked by the domination test
         for delta in [*_delta_lines(g), Fraction(-1)]:
             m, eigenvalues = _line_eigenvalues(g, delta)
-            for mu, _ in eigenvalues:
-                p, rank = _drop_point(m, mu, delta)
+            for mu, mult in eigenvalues:
+                p, rank = _drop_point(m, mu, mult, delta)
                 assert p == reference_drop_point(m, mu, delta)
                 assert rank == rank_rational(integer_universal_matrix(g, p))
                 tried += 1
-    assert tried > 10000
+    assert tried > 25000
 
 
 def planted(monkeypatch, old, new, name="_eliminate"):
@@ -309,24 +358,16 @@ def test_a_planted_fault_raises(monkeypatch, old, new):
             run()
 
 
-def test_a_wrong_denominator_raises():
-    rows = [[*row, 1] for row in M]
-    pivots, _ = _eliminate(rows, 4)
-    rows[3][3] += 1  # the last pivot, which back substitution takes as den
-    with pytest.raises(ArithmeticError):
-        _back_substitute(rows, pivots)
-
-
 def test_drop_point_runs_one_elimination(monkeypatch):
     calls = []
 
-    def counted(rows, ncols):
-        calls.append((len(rows), ncols))
-        return _eliminate(rows, ncols)
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return solve_int(a, b)
 
-    monkeypatch.setattr(engine, "_eliminate", counted)
+    monkeypatch.setattr(engine, "solve_int", counted)
     m, eigenvalues = _line_eigenvalues(cycle(6), Fraction(0))
     assert sorted(mu for mu, _ in eigenvalues) == [-2, -1, 1, 2]
-    for mu, _ in eigenvalues:
-        _drop_point(m, mu, Fraction(0))
+    for mu, mult in eigenvalues:
+        _drop_point(m, mu, mult, Fraction(0))
     assert calls == [(6, 6)] * 4

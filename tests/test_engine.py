@@ -211,8 +211,8 @@ def _line_points(g, data):
     fr = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     for delta in engine._delta_lines(g):
         m, eigenvalues = engine._line_eigenvalues(g, delta)
-        for mu, _ in eigenvalues:
-            p, _ = engine._drop_point(m, mu, delta)
+        for mu, mult in eigenvalues:
+            p, _ = engine._drop_point(m, mu, mult, delta)
             yield p
             yield ParamPoint(p.beta, data.draw(fr), delta)
 
@@ -318,8 +318,8 @@ def assert_minus_one_line_dominated(g):
     assert Fraction(-1) not in engine._delta_lines(g)
     upper = engine.structural_upper(g)[0]
     m, eigenvalues = engine._line_eigenvalues(g, Fraction(-1))
-    for mu, _ in eigenvalues:
-        p, _ = engine._drop_point(m, mu, Fraction(-1))
+    for mu, mult in eigenvalues:
+        p, _ = engine._drop_point(m, mu, mult, Fraction(-1))
         assert rank_rational(engine.integer_universal_matrix(g, p)) >= upper, (g, mu)
 
 

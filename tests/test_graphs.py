@@ -24,6 +24,7 @@ from murlab.graphs import (
     petersen,
     star,
 )
+from helpers import atlas7
 
 
 def test_parse_star():
@@ -178,3 +179,13 @@ def test_validation():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(GraphError):
         star(100)
+
+
+def test_the_committed_atlas_is_networkx_s():
+    # The tests read the 7-vertex atlas from perfbench/data/atlas7.txt; it
+    # holds networkx's seven-vertex atlas graphs, in the atlas's order.
+    nx = pytest.importorskip("networkx")
+    want = [
+        Graph.from_edges(7, list(g.edges())) for g in nx.graph_atlas_g() if g.number_of_nodes() == 7
+    ]
+    assert atlas7() == want

@@ -22,7 +22,7 @@ from murlab.matrices import (
 )
 from murlab.polynomials import Poly, _integers, squarefree_decomposition
 from murlab.verify import family_checks
-from helpers import _gauss_jordan, atlas7, rational_charpoly, x_minus
+from helpers import _gauss_jordan, assert_solves, atlas7, rational_charpoly, x_minus
 
 
 def transpose(m):
@@ -296,12 +296,8 @@ def test_det_and_solve_int(m, data):
     # the constant term of det(xI - m) is det(-m), computed by Berkowitz's recursion
     assert det_int(m) == (-1) ** n * reference_charpoly(m).coeffs[0]
     b = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-    x = solve_int(m, b)
-    if det_int(m) == 0:
-        assert x is None
-    else:
-        y, den = x
-        assert [sum(a * yi for a, yi in zip(row, y)) for row in m] == [den * bi for bi in b]
+    # on a singular m, None exactly when m x = b is inconsistent
+    assert_solves(m, b, solve_int(m, b))
 
 
 @settings(max_examples=100)
@@ -316,7 +312,7 @@ def test_solve_int_matches_fraction_elimination(m, data):
     want = _gauss_jordan(m, b)
     got = solve_int(m, b)
     if want is None:
-        assert got is None
+        assert_solves(m, b, got)
     else:
         # integer numerators over a positive denominator, in lowest terms
         y, den = got
