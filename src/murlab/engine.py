@@ -392,6 +392,7 @@ def _slot_width(n: int, k: int) -> int:
     return w
 
 
+@lru_cache(maxsize=64)
 def _unpacker(k: int, w: int):
     """Decoder of a packed minor, its pair (at gamma = 0, at gamma = 1), into
     its coefficient tuple, in the order of ``minor_points(k)``.
@@ -497,24 +498,36 @@ def _table_minors(g, k, w, pairs):
         yield rows, cols, _expand_minor(entries, tables, prefix, tuple(cols))
 
 
+# _DROPS[j][t] picks from a j-tuple every entry but the t-th
+_DROPS = {
+    j: [itemgetter(*(i for i in range(j) if i != t)) for t in range(j)]
+    for j in range(3, _TABLE_ORDER + 1)
+}
+
+
 def _expand_minor(entries, tables, rows, cols) -> tuple[int, int]:
     """det U[rows[:j], cols] at gamma = 0 and 1, packed, j = len(cols), by
     expansion along row rows[j-1]; (j-1)-minors are memoized in
-    ``tables[j-1]``."""
+    ``tables[j-1]``, and a 2 x 2 minor is computed outright."""
     j = len(cols)
     row0, row1 = entries[rows[j - 1]]
-    if j == 1:
-        return row0[cols[0]], row1[cols[0]]
+    if j <= 2:
+        if j == 1:
+            return row0[cols[0]], row1[cols[0]]
+        a, b = cols
+        up0, up1 = entries[rows[0]]
+        return up0[a] * row0[b] - up0[b] * row0[a], up1[a] * row1[b] - up1[b] * row1[a]
     sub_table = tables[j - 1]
     acc0 = acc1 = 0
-    for t, c in enumerate(cols):
-        sub_cols = cols[:t] + cols[t + 1:]
+    # the cofactor sign of entry (j-1, t) is (-1)**(j-1+t)
+    minus = not j % 2
+    for c, drop in zip(cols, _DROPS[j]):
+        sub_cols = drop(cols)
         sub = sub_table.get(sub_cols)
         if sub is None:
             sub = sub_table[sub_cols] = _expand_minor(entries, tables, rows, sub_cols)
         e0 = row0[c]  # 0 off the diagonal where there is no edge
-        # the cofactor sign of entry (j-1, t) is (-1)**(j-1+t)
-        if (j - 1 + t) % 2:
+        if minus:
             if e0:
                 acc0 -= e0 * sub[0]
             acc1 -= row1[c] * sub[1]
@@ -522,12 +535,54 @@ def _expand_minor(entries, tables, rows, cols) -> tuple[int, int]:
             if e0:
                 acc0 += e0 * sub[0]
             acc1 += row1[c] * sub[1]
+        minus = not minus
     return acc0, acc1
+
+
+@lru_cache(maxsize=64)
+def _echelon_coordinates(k: int) -> tuple[int, ...]:
+    """The indices into ``minor_points(k)`` that the minors echelon of order
+    k runs on: (k+1)**2 of them up to ``_TABLE_ORDER``, all past it.
+
+    gamma*J has rank one, so a k x k minor of U = B + gamma*J is det B[R, C]
+    + gamma * 1^T adj(B[R, C]) 1, and the entries of adj(B[R, C]) are
+    (k-1)-minors of B, of degree at most k - 1 in (beta, delta).  So a
+    minor's coefficient at the point (b, 1, d) with b + d = k equals its
+    coefficient at (b, 0, d), an earlier point; so does the constant 1's.
+    Those k + 1 coordinates are left out.  Past ``_TABLE_ORDER`` a vector
+    holds values, not coefficients, and every coordinate is kept.
+    """
+    points = minor_points(k)
+    if k > _TABLE_ORDER:
+        return tuple(range(len(points)))
+    return tuple(i for i, (b, c, d) in enumerate(points) if not (c and b + d == k))
+
+
+@lru_cache(maxsize=64)
+def _echelon_layout(n: int, height: int) -> tuple[int, ...]:
+    """(width, ones, offset, low, high, digits, nbytes, signs, folds) of an
+    ``_Echelon`` on n coordinates for vectors below ``height``."""
+    bound = n * height * ((3 << 31) + 3) + height  # a row's slots are below 3 * 2**31 + 3
+    offset = -(-bound // _PRIME) * _PRIME
+    w = -(-(offset + bound).bit_length() // 64) * 64
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+    low = _PRIME * ones  # the low 31 bits of every slot
+    high = ((1 << w - 31) - 1) * ones  # the rest, shifted down by 31
+    # v is packed from signed 64-bit digits, the least that hold height
+    digits = (height.bit_length() + 65) // 64
+    nbytes = n * w // 8
+    signs = ((1 << 8 * nbytes) - 1) // ((1 << 64) - 1) << 63
+    # foldings that bring a slot below 2**w under 2p
+    top, folds = (1 << w) - 1, 0
+    while top >= 2 * _PRIME:
+        top, folds = _PRIME + (top >> 31), folds + 1
+    return w, ones, offset * ones, low, high, digits, nbytes, signs, folds
 
 
 class _Echelon:
     """Integer vectors modulo the prime p = 2**31 - 1 in reduced echelon
-    form, and the residual of a target vector against them.
+    form, and the residual of a target vector against them, on the
+    coordinates ``keep`` of each vector (all of them by default).
 
     ``add`` reduces a vector against the rows.  If its residual is zero,
     the vector lies in their span and is dropped.  Otherwise the residual,
@@ -535,47 +590,44 @@ class _Echelon:
     and every row and the target are reduced by it.  Each row is then 1 at
     its own pivot and 0 at every other, so the residual of v is
     v - sum(v[pivot_i] * row_i), and the target lies in the span exactly
-    when its residual is zero.
+    when its residual is zero.  ``pivots`` index the whole vector.  A
+    coordinate left out of ``keep`` must equal an earlier kept one in every
+    vector and in the target (see ``_echelon_coordinates``).  Every residual
+    then does too, so it is zero, and has its first nonzero coordinate,
+    where the residual of the whole vector would.
 
-    Rows, residuals and the target are each one integer: coordinate q sits
-    in slot q, w bits wide, w a multiple of 64, so that every slot is whole
-    machine words.  A row's slot holds a residue below 2**32, not
-    necessarily reduced.  The heads v[pivot_i] and v itself are taken as
-    they are, each below ``height`` in absolute value, so each slot of
-    v - sum(heads * rows) lies below bound = len(v) * height * 2**32 +
-    height in absolute value.  An offset that is a multiple of p and at
-    least bound in every slot makes every slot positive; w is the least
-    multiple of 64 that holds offset + bound: 64 for minors of order up to
-    5 on 7 vertices, 128 for order 6 on 7 or 8 and for order 10 on 12.
-    Foldings x -> (x & p) + (x >> 31), done on every slot at once through
-    masks, keep each slot's residue and bring it below 2p; subtracting p
-    from every slot at or above p then leaves each slot reduced, so a
-    vector in the span leaves with its residual still packed, compared
-    with 0.  A kept residual's pivot is its lowest nonzero slot.  When a
-    row or the target is updated it gains (p - c) times the new row, less
-    than 2**63 per slot, and two foldings bring it back below 2**32.
+    Rows, residuals and the target are each one integer: the q-th kept
+    coordinate sits in slot q, w bits wide, w a multiple of 64, so that
+    every slot is whole machine words.  A row's slot holds a residue below
+    3 * 2**31 + 3, not necessarily reduced.  The heads v[pivot_i] and v
+    itself are taken as they are, each below ``height`` in absolute value,
+    so each slot of v - sum(heads * rows) lies below bound = len(keep) *
+    height * (3 * 2**31 + 3) + height in absolute value.  An offset that is
+    a multiple of p and at least bound in every slot makes every slot
+    positive; w is the least multiple of 64 that holds offset + bound: 64
+    for minors of order up to 5 on 7 vertices, 128 for order 6 on 7 or 8
+    and for order 10 on 12.  Foldings x -> (x & p) + (x >> 31), done on
+    every slot at once through masks, keep each slot's residue and bring it
+    below 2p; subtracting p from every slot at or above p then leaves each
+    slot reduced, so a vector in the span leaves with its residual still
+    packed, compared with 0.  A kept residual's pivot is its lowest nonzero
+    slot.  Scaled there to 1, each slot below p**2, one folding brings the
+    new row below 2**32.  A row that is updated gains (p - c) times the new
+    row, 0 < c < p, so each slot stays below 2**63 + 3 * 2**31 + 3, and one
+    folding, (x & p) + (x >> 31) <= (2**31 - 1) + (2**32 + 3), brings it
+    back below 3 * 2**31 + 3.  The target, kept reduced, is folded twice
+    and reduced.
     """
 
-    def __init__(self, target: Sequence[int], height: int):
-        n = len(target)
+    def __init__(self, target: Sequence[int], height: int, keep: Optional[Sequence[int]] = None):
+        self.keep = range(len(target)) if keep is None else keep
+        self.pick = itemgetter(*self.keep)
         self.pivots: list[int] = []
         self.rows: list[int] = []
-        bound = (n * height << 32) + height
-        offset = -(-bound // _PRIME) * _PRIME
-        w = self.width = -(-(offset + bound).bit_length() // 64) * 64
-        ones = self.ones = ((1 << w * n) - 1) // ((1 << w) - 1)
-        self.offset = offset * ones
-        self.low = _PRIME * ones  # the low 31 bits of every slot
-        self.high = ((1 << w - 31) - 1) * ones  # the rest, shifted down by 31
-        self.target = sum(t % _PRIME << w * q for q, t in enumerate(target))
-        # v is packed from signed 64-bit digits, the least that hold height
-        self.digits = (height.bit_length() + 65) // 64
-        self.nbytes = n * w // 8
-        self.signs = ((1 << 8 * self.nbytes) - 1) // ((1 << 64) - 1) << 63
-        # foldings that bring a slot below 2**w under 2p
-        top, self.folds = (1 << w) - 1, 0
-        while top >= 2 * _PRIME:
-            top, self.folds = _PRIME + (top >> 31), self.folds + 1
+        (self.width, self.ones, self.offset, self.low, self.high, self.digits,
+         self.nbytes, self.signs, self.folds) = _echelon_layout(len(self.keep), height)
+        w = self.width
+        self.target = sum(t % _PRIME << w * q for q, t in enumerate(self.pick(target)))
 
     def spans_target(self) -> bool:
         return not self.target
@@ -596,35 +648,39 @@ class _Echelon:
         2**62), the words are read as one unsigned integer, and flipping
         then subtracting every word's top bit turns each word's two's
         complement back into its signed value."""
-        step = self.width // 64
-        words = array("q", bytes(self.nbytes))
-        for i in range(self.digits - 1):
-            v = [x + (1 << 63) for x in v]
-            words[i::step] = array("q", [(x & (1 << 64) - 1) - (1 << 63) for x in v])
-            v = [x >> 64 for x in v]
-        words[self.digits - 1 :: step] = array("q", v)
+        if self.width == 64 and self.digits == 1:  # a slot is one digit
+            words = array("q", v)
+        else:
+            step = self.width // 64
+            words = array("q", bytes(self.nbytes))
+            for i in range(self.digits - 1):
+                v = [x + (1 << 63) for x in v]
+                words[i::step] = array("q", [(x & (1 << 64) - 1) - (1 << 63) for x in v])
+                v = [x >> 64 for x in v]
+            words[self.digits - 1 :: step] = array("q", v)
         if sys.byteorder == "big":
             words.reverse()
         return (int.from_bytes(words, sys.byteorder) ^ self.signs) - self.signs
 
     def add(self, v: Sequence[int]) -> bool:
         """Reduce v; make its residual a row if that is nonzero, and say so."""
-        heads = [v[p] for p in self.pivots]
-        res = self.offset + self._pack(v) - sum(map(mul, heads, self.rows))
+        rows, low, high = self.rows, self.low, self.high
+        heads = map(v.__getitem__, self.pivots)
+        res = self.offset + self._pack(self.pick(v)) - sum(map(mul, heads, rows))
         res = self._reduce(self._fold(res, self.folds))
         if not res:
             return False
         w = self.width
         j = ((res & -res).bit_length() - 1) // w
         shift = w * j
-        new = self._fold(res * pow(res >> shift & _PRIME, -1, _PRIME), 2)
-        rows = self.rows
+        new = self._fold(res * pow(res >> shift & _PRIME, -1, _PRIME), 1)
         for i, row in enumerate(rows):
-            c = (row >> shift & 0xFFFF_FFFF) % _PRIME
+            c = (row >> shift & 0x1_FFFF_FFFF) % _PRIME
             if c:
-                rows[i] = self._fold(row + (_PRIME - c) * new, 2)
+                x = row + (_PRIME - c) * new
+                rows[i] = (x & low) + (x >> 31 & high)
         rows.append(new)
-        self.pivots.append(j)
+        self.pivots.append(self.keep[j])
         t = self.target >> shift & _PRIME
         if t:
             self.target = self._reduce(self._fold(self.target + (_PRIME - t) * new, 2))
@@ -718,9 +774,14 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     go as vectors (see ``minor_coefficients``) into an ``_Echelon`` modulo
     a prime, which keeps the independent ones until the constant 1 lies in
     their span.  A scaled copy of a minor already tried lies in that span,
-    so the echelon drops it.  The weights are then solved for exactly from
-    the minors kept, and the identity is checked on every entry, so a
-    failure anywhere only means no certificate.  Coefficients and values on
+    so the echelon drops it.  Up to ``_TABLE_ORDER`` the echelon runs on the
+    (k+1)**2 coordinates of ``_echelon_coordinates(k)``: each of the k + 1
+    it leaves out equals an earlier one in every minor and in the constant
+    1, so the minors it keeps and its pivots, as indices of the whole
+    vector, are those of an echelon on all (k+1)(k+2).  The weights are
+    then solved for exactly from the minors kept, and the identity is
+    checked on every entry of the whole vectors, so a failure anywhere only
+    means no certificate.  Coefficients and values on
     ``minor_points(k)`` determine each other by an integer map that is
     invertible over Q and modulo the prime, so the minors chosen and their
     weights are the same in either basis: past ``_TABLE_ORDER`` they come
@@ -735,7 +796,7 @@ def minors_combination(g: Graph, k: int) -> Optional[Certificate]:
     # to at most beta + 1 + delta*(n-1) + 2(k-1) < k(n+2), so every value of
     # a minor is below (k(n+2))**k.
     height = (3 * g.n) ** k if k <= _TABLE_ORDER else (k * (g.n + 2)) ** k
-    echelon = _Echelon(constant_one(k), height)
+    echelon = _Echelon(constant_one(k), height, _echelon_coordinates(k))
     chosen: list[tuple[IndexSet, IndexSet, tuple[int, ...]]] = []
     decode, minors = _minors(g, k, pairs)
     seen = set()

@@ -78,15 +78,20 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivots, swaps
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix: the last pivot of its
-    elimination, signed by the row swaps, or 0 when the rank is short."""
+def _det_in_place(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, eliminated in place: the last
+    pivot of its elimination, signed by the row swaps, or 0 when the rank
+    is short."""
     n = len(rows)
-    a = [list(row) for row in rows]
-    pivots, swaps = _eliminate(a)
+    pivots, swaps = _eliminate(rows)
     if len(pivots) < n:
         return 0
-    return (-1) ** swaps * a[-1][-1] if n else 1
+    return (-1) ** swaps * rows[-1][-1] if n else 1
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, which is left as it is."""
+    return _det_in_place([list(row) for row in rows])
 
 
 def solve_int(a: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int]]:
@@ -273,7 +278,7 @@ def charpoly(m: list[list[int]]) -> list[int]:
     <= R, so each coefficient, an elementary symmetric function of the
     eigenvalues, has |c_i| <= (1 + R)^n.  w is one bit more than that bound
     takes, so each c_i fits a signed w-bit slot of p(2^w) = det(2^w I - m),
-    which ``det_int`` computes.
+    which ``_det_in_place`` computes on the matrix built here.
     """
     n, nc = dimensions(m)
     if n != nc:
@@ -281,7 +286,7 @@ def charpoly(m: list[list[int]]) -> list[int]:
     bound = (1 + max((sum(map(abs, row)) for row in m), default=0)) ** n
     w = bound.bit_length() + 1
     x = 1 << w
-    v = det_int([[x - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m)])
+    v = _det_in_place([[x - e if i == j else -e for j, e in enumerate(row)] for i, row in enumerate(m)])
     half, mask = x >> 1, x - 1
     coeffs = []
     for _ in range(n + 1):

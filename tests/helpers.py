@@ -1,18 +1,24 @@
 """Helpers shared by several test modules."""
 
+import sys
+from array import array
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, inf, lcm
+from operator import mul, neg
 from pathlib import Path
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from murlab import engine
 from murlab.engine import (
+    _PRIME,
     DEFAULT_BUDGET,
     Budget,
     Certificate,
+    IndexSet,
     _apex_family_value,
     _delta_lines,
     _forest_certificate,
@@ -409,3 +415,142 @@ def reference_validate_path_forest(g: Graph, w: PathForestWitness) -> bool:
         return False
     total = sum(len(p) for p in w.paths)
     return w.bound == total - t - (1 if not w.isolated else 0)
+
+
+# The minors stage as it was before its echelon left out the coordinates at
+# gamma = 1 of top degree, kept verbatim, with its echelon on every
+# coordinate of minor_points(k), as the reference for minors_combination.
+class _ReferenceEchelon:
+    """Integer vectors modulo the prime p = 2**31 - 1 in reduced echelon
+    form, and the residual of a target vector against them.
+
+    ``add`` reduces a vector against the rows.  If its residual is zero,
+    the vector lies in their span and is dropped.  Otherwise the residual,
+    scaled to 1 at its first nonzero coordinate (its pivot), becomes a row,
+    and every row and the target are reduced by it.  Each row is then 1 at
+    its own pivot and 0 at every other, so the residual of v is
+    v - sum(v[pivot_i] * row_i), and the target lies in the span exactly
+    when its residual is zero.
+
+    Rows, residuals and the target are each one integer: coordinate q sits
+    in slot q, w bits wide, w a multiple of 64, so that every slot is whole
+    machine words.  A row's slot holds a residue below 2**32, not
+    necessarily reduced.  The heads v[pivot_i] and v itself are taken as
+    they are, each below ``height`` in absolute value, so each slot of
+    v - sum(heads * rows) lies below bound = len(v) * height * 2**32 +
+    height in absolute value.  An offset that is a multiple of p and at
+    least bound in every slot makes every slot positive; w is the least
+    multiple of 64 that holds offset + bound: 64 for minors of order up to
+    5 on 7 vertices, 128 for order 6 on 7 or 8 and for order 10 on 12.
+    Foldings x -> (x & p) + (x >> 31), done on every slot at once through
+    masks, keep each slot's residue and bring it below 2p; subtracting p
+    from every slot at or above p then leaves each slot reduced, so a
+    vector in the span leaves with its residual still packed, compared
+    with 0.  A kept residual's pivot is its lowest nonzero slot.  When a
+    row or the target is updated it gains (p - c) times the new row, less
+    than 2**63 per slot, and two foldings bring it back below 2**32.
+    """
+
+    def __init__(self, target: Sequence[int], height: int):
+        n = len(target)
+        self.pivots: list[int] = []
+        self.rows: list[int] = []
+        bound = (n * height << 32) + height
+        offset = -(-bound // _PRIME) * _PRIME
+        w = self.width = -(-(offset + bound).bit_length() // 64) * 64
+        ones = self.ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+        self.offset = offset * ones
+        self.low = _PRIME * ones  # the low 31 bits of every slot
+        self.high = ((1 << w - 31) - 1) * ones  # the rest, shifted down by 31
+        self.target = sum(t % _PRIME << w * q for q, t in enumerate(target))
+        # v is packed from signed 64-bit digits, the least that hold height
+        self.digits = (height.bit_length() + 65) // 64
+        self.nbytes = n * w // 8
+        self.signs = ((1 << 8 * self.nbytes) - 1) // ((1 << 64) - 1) << 63
+        # foldings that bring a slot below 2**w under 2p
+        top, self.folds = (1 << w) - 1, 0
+        while top >= 2 * _PRIME:
+            top, self.folds = _PRIME + (top >> 31), self.folds + 1
+
+    def spans_target(self) -> bool:
+        return not self.target
+
+    def _fold(self, x: int, times: int) -> int:
+        for _ in range(times):
+            x = (x & self.low) + (x >> 31 & self.high)
+        return x
+
+    def _reduce(self, x: int) -> int:
+        """x with every slot, below 2p, reduced: s >= p exactly when bit 31
+        of s + 1 is set."""
+        return x - _PRIME * ((x + self.ones) >> 31 & self.ones)
+
+    def _pack(self, v: Sequence[int]) -> int:
+        """sum(v[q] << w*q).  Each coordinate is written as signed 64-bit
+        digits into the low words of its slot (one digit for heights below
+        2**62), the words are read as one unsigned integer, and flipping
+        then subtracting every word's top bit turns each word's two's
+        complement back into its signed value."""
+        step = self.width // 64
+        words = array("q", bytes(self.nbytes))
+        for i in range(self.digits - 1):
+            v = [x + (1 << 63) for x in v]
+            words[i::step] = array("q", [(x & (1 << 64) - 1) - (1 << 63) for x in v])
+            v = [x >> 64 for x in v]
+        words[self.digits - 1 :: step] = array("q", v)
+        if sys.byteorder == "big":
+            words.reverse()
+        return (int.from_bytes(words, sys.byteorder) ^ self.signs) - self.signs
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Reduce v; make its residual a row if that is nonzero, and say so."""
+        heads = [v[p] for p in self.pivots]
+        res = self.offset + self._pack(v) - sum(map(mul, heads, self.rows))
+        res = self._reduce(self._fold(res, self.folds))
+        if not res:
+            return False
+        w = self.width
+        j = ((res & -res).bit_length() - 1) // w
+        shift = w * j
+        new = self._fold(res * pow(res >> shift & _PRIME, -1, _PRIME), 2)
+        rows = self.rows
+        for i, row in enumerate(rows):
+            c = (row >> shift & 0xFFFF_FFFF) % _PRIME
+            if c:
+                rows[i] = self._fold(row + (_PRIME - c) * new, 2)
+        rows.append(new)
+        self.pivots.append(j)
+        t = self.target >> shift & _PRIME
+        if t:
+            self.target = self._reduce(self._fold(self.target + (_PRIME - t) * new, 2))
+        return True
+
+
+def reference_minors_combination(g: Graph, k: int) -> Optional[Certificate]:
+    """A certificate that mur(g) >= k, or None if none was found, by the
+    minors stage with an echelon on every coordinate of each minor."""
+    ncoeffs = (k + 1) * (k + 2)
+    # Each pair costs (k+1)(k+2) * k**3 of the work cap, charged before it is
+    # tried, whether or not the twin rule skips it.
+    pairs = engine._minor_pairs(g, k, -(-engine._MINOR_STAGE_WORK // max(ncoeffs * k**3, 1)))
+    # Every coefficient of a minor is below (3n)**k (see _slot_width).  At a
+    # minor point, beta + delta <= k, a row of U[R, C] sums in absolute value
+    # to at most beta + 1 + delta*(n-1) + 2(k-1) < k(n+2), so every value of
+    # a minor is below (k(n+2))**k.
+    height = (3 * g.n) ** k if k <= engine._TABLE_ORDER else (k * (g.n + 2)) ** k
+    echelon = _ReferenceEchelon(engine.constant_one(k), height)
+    chosen: list[tuple[IndexSet, IndexSet, tuple[int, ...]]] = []
+    decode, minors = engine._minors(g, k, pairs)
+    seen = set()
+    for rows, cols, minor in minors:
+        sign = next(filter(None, minor), 0)
+        key = minor if sign > 0 else tuple(map(neg, minor))
+        if not sign or key in seen:
+            continue
+        seen.add(key)
+        vector = decode(minor)
+        if echelon.add(vector):
+            chosen.append((rows, cols, vector))
+            if echelon.spans_target():
+                return engine._solve_minor_weights(k, echelon.pivots, chosen)
+    return None

@@ -99,6 +99,47 @@ def test_benchmark_imports_resolve():
     assert checked and not missing, f"perfbench/ imports names the package lacks: {missing}"
 
 
+# perfbench/spans.py targets that name nothing in the package any more, each
+# with what took its place; an entry that resolves again fails the test below.
+SPAN_TARGETS_STALE = {
+    ("engine", "minor_matrices"): "minors are packed sub-minor tables (_minors), not matrices",
+    ("engine", "candidate_params"): "the delta lines (search_lines) replaced the candidate stream",
+    ("engine", "algebraic_eigen_candidates"): "the algebraic points are _refine_algebraic's, off the pipeline",
+    ("polynomials", "rational_roots"): "a line's eigenvalues are the integer_roots of a monic charpoly",
+    ("polynomials", "root_multiplicity"): "multiplicities come from squarefree_decomposition",
+    ("families", "recognize_family"): "family_matches lists every family a graph is in",
+    ("graphs", "components"): "component_masks reads components as bitmasks",
+    ("fixtures", "verify_fixture"): "the fixtures module was folded into the pprime verify suite",
+}
+
+
+def test_benchmark_span_targets_resolve():
+    # The traced benchmark wraps each (module, attribute) of spans.py's
+    # TARGETS and records a name it cannot find as absent, with no error; a
+    # rename would silently leave its per-layer metrics reading nothing.
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    missing = set()
+    for modname, attr in targets:
+        try:
+            owner = importlib.import_module(f"murlab.{modname}")
+        except ImportError:
+            missing.add((modname, attr))
+            continue
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.add((modname, attr))
+    unlisted = sorted(missing - SPAN_TARGETS_STALE.keys())
+    stale = sorted(SPAN_TARGETS_STALE.keys() - missing)
+    assert not unlisted, f"perfbench/spans.py targets the package lacks: {unlisted}"
+    assert not stale, f"listed as stale span targets, but they resolve or are no longer targets: {stale}"
+
+
 # Underscore names that a package module imports from another one, each
 # with its reason; an entry that is no longer imported fails the test below.
 PRIVATE_IMPORTS_ALLOWED = {

@@ -50,6 +50,7 @@ from helpers import (
     friendship,
     graphs_strategy,
     reference_family_mur,
+    reference_minors_combination,
     reference_mur_lower,
     reference_mur_upper,
     reference_upper_bounds,
@@ -574,10 +575,10 @@ def _list_echelon(vectors, target):
     return chosen, pivots, False
 
 
-def _packed_echelon(vectors, target, height):
+def _packed_echelon(vectors, target, height, keep=None):
     """``engine._Echelon`` driven as ``minors_combination`` drives it, with
     the same result as ``_list_echelon``."""
-    echelon, chosen = engine._Echelon(target, height), []
+    echelon, chosen = engine._Echelon(target, height, keep), []
     for i, v in enumerate(vectors):
         if echelon.add(v):
             chosen.append(i)
@@ -660,14 +661,36 @@ def test_packed_echelon_matches_the_list_echelon(case):
     assert _packed_echelon(vectors, target, height) == _list_echelon(vectors, target)
 
 
+@settings(max_examples=100, deadline=None)
+@given(vector_streams(), st.data())
+def test_packed_echelon_leaves_out_repeated_coordinates(case, data):
+    # Coordinates that repeat an earlier one in every vector and in the
+    # target, left out of the echelon, change neither the vectors it picks
+    # nor its pivots, as indices of the whole vectors.
+    vectors, target = case
+    assume(all(math.gcd(*v) % PRIME for v in vectors if any(v)))
+    n = len(target)
+    layout = list(range(n))  # the source of each coordinate of the whole vectors
+    for source in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        layout.insert(data.draw(st.integers(layout.index(source) + 1, len(layout))), source)
+    keep = [layout.index(q) for q in range(n)]
+    whole = [tuple(v[q] for q in layout) for v in vectors]
+    height = max(abs(x) for v in vectors for x in v) + 1
+    want = _packed_echelon(whole, [target[q] for q in layout], height)
+    assert _packed_echelon(whole, [target[q] for q in layout], height, keep) == want
+
+
 def test_packed_echelon_slot_widths():
     # One 64-bit word per slot for minors of order 3 to 5 on 7 vertices;
     # 2 words for order 6 on 7 vertices and order 10 on 12, and for heads
-    # up to 2**64 on 20 coordinates.
-    for k in (3, 4, 5):
-        assert engine._Echelon(engine.constant_one(k), 21**k).width == 64
-    assert engine._Echelon(engine.constant_one(6), 21**6).width == 128
-    assert engine._Echelon(engine.constant_one(10), 36**10).width == 128
+    # up to 2**64 on 20 coordinates.  The same on the coordinates the
+    # minors stage keeps, and on order 5 up to 11 vertices.
+    for keep in (lambda k: None, engine._echelon_coordinates):
+        for k in (3, 4, 5):
+            assert engine._Echelon(engine.constant_one(k), 21**k, keep(k)).width == 64
+        assert engine._Echelon(engine.constant_one(6), 21**6, keep(6)).width == 128
+        assert engine._Echelon(engine.constant_one(10), 36**10, keep(10)).width == 128
+    assert engine._Echelon(engine.constant_one(5), 33**5, engine._echelon_coordinates(5)).width == 64
     assert engine._Echelon([1] * 20, 2**64).width == 128
     # the edge the examples above sit on
     height = _widest_one_word_height(20)
@@ -791,6 +814,77 @@ def test_minors_certificate_is_pinned_at_order_5():
     ]
     cert = minors_combination(parse_graph6("FHCG_"), 5)
     assert [(m["rows"], m["cols"], m["weight"]) for m in cert.data["minors"]] == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs_strategy(12), st.data())
+def test_top_degree_coefficients_do_not_depend_on_gamma(g, data):
+    # gamma*J has rank one, so a k x k minor is det B + gamma * 1^T adj(B) 1
+    # with adj(B) of degree k - 1 in (beta, delta): its coefficients of total
+    # degree k are the same at gamma = 1 as at gamma = 0.  The echelon runs
+    # on the other (k+1)**2 coordinates, and each coordinate it leaves out
+    # equals one it keeps, earlier in minor_points order, in every minor
+    # and in the constant 1, so no pivot can fall on it.
+    for k in range(1, min(g.n, engine._TABLE_ORDER) + 1):
+        points = minor_points(k)
+        index = {p: i for i, p in enumerate(points)}
+        index_sets = st.permutations(range(g.n)).map(lambda p: tuple(sorted(p[:k])))
+        pairs = sorted((data.draw(index_sets), data.draw(index_sets)) for _ in range(2))
+        vectors = [v for _, _, v in minor_coefficients(g, k, pairs)]
+        for v in vectors:
+            for b in range(k + 1):
+                assert v[index[b, 1, k - b]] == v[index[b, 0, k - b]]
+        vectors.append(engine.constant_one(k))
+        kept = engine._echelon_coordinates(k)
+        assert len(kept) == (k + 1) ** 2
+        for i in set(range(len(points))) - set(kept):
+            assert any(all(v[i] == v[j] for v in vectors) for j in kept if j < i), points[i]
+
+
+def test_minors_stage_matches_the_reference_on_the_atlas():
+    # The echelon on the (k+1)**2 coordinates keeps the minors, and gives the
+    # certificates, of the echelon on all (k+1)(k+2).
+    for g in atlas7()[::5]:
+        for side in (g, g.complement()):
+            for k in range(2, 7):
+                want = reference_minors_combination(side, k)
+                got = minors_combination(side, k)
+                assert (got and got.data) == (want and want.data), (side, k)
+
+
+def test_minors_stage_matches_the_reference_on_the_family_graphs():
+    # Family formulas settle these graphs before compute_mur reaches the
+    # minors stage, so the stage runs on them directly: at the exact value,
+    # where a certificate may exist, and one above it, where none can.
+    for name, g, value in family_checks():
+        for k in range(max(value, 2), min(value + 1, g.n) + 1):
+            want = reference_minors_combination(g, k)
+            got = minors_combination(g, k)
+            assert (got and got.data) == (want and want.data), (name, k)
+
+
+def test_minors_stage_matches_the_reference_on_seeded_graphs(monkeypatch):
+    # Seeded G(n, 1/2), at every order compute_mur tries on them.
+    attempts = spy_on(monkeypatch, "minors_combination")
+    for n in (8, 9, 10):
+        for seed in range(10):
+            compute_mur(verify._random_graph(random.Random(1000 * n + seed), n))
+    monkeypatch.undo()
+    assert len(attempts) >= 30
+    for g, k in attempts:
+        want = reference_minors_combination(g, k)
+        got = minors_combination(g, k)
+        assert (got and got.data) == (want and want.data), (g, k)
+
+
+def test_minors_stage_matches_the_reference_past_the_table_order(monkeypatch):
+    # Past the table order a minor's vector holds values, and the echelon
+    # keeps every coordinate: P13's pinned certificate at order 11.
+    monkeypatch.setattr(engine, "_MINOR_STAGE_WORK", 10**12)
+    g = path(13)
+    got = minors_combination(g, 11)
+    assert got.data == reference_minors_combination(g, 11).data
+    assert len(got.data["minors"]) == len(P13_ORDER_11)
 
 
 def test_minors_stage_leaves_no_cyclic_garbage():
