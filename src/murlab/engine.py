@@ -560,21 +560,11 @@ def _echelon_coordinates(k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _echelon_layout(n: int, height: int) -> tuple[int, ...]:
-    """(width, ones, offset, low, high, digits, nbytes, signs, folds,
-    row_folds) of an ``_Echelon`` on n coordinates for vectors below
-    ``height``."""
-
-    def slots(row_bound):
-        # a residual's slots are below bound in absolute value
-        bound = n * height * row_bound + height
-        offset = -(-bound // _PRIME) * _PRIME
-        return offset, -(-(offset + bound).bit_length() // 64) * 64
-
-    # rows folded once per update stay below 3 * 2**31 + 3, twice below 2**32
-    (offset, w), row_folds = slots((3 << 31) + 3), 1
-    twice = slots(1 << 32)
-    if twice[1] < w:
-        (offset, w), row_folds = twice, 2
+    """(width, ones, offset, low, high, digits, nbytes, signs, folds) of an
+    ``_Echelon`` on n coordinates for vectors below ``height``."""
+    bound = (n * height << 32) + height
+    offset = -(-bound // _PRIME) * _PRIME
+    w = -(-(offset + bound).bit_length() // 64) * 64
     ones = ((1 << w * n) - 1) // ((1 << w) - 1)
     low = _PRIME * ones  # the low 31 bits of every slot
     high = ((1 << w - 31) - 1) * ones  # the rest, shifted down by 31
@@ -586,13 +576,13 @@ def _echelon_layout(n: int, height: int) -> tuple[int, ...]:
     top, folds = (1 << w) - 1, 0
     while top >= 2 * _PRIME:
         top, folds = _PRIME + (top >> 31), folds + 1
-    return w, ones, offset * ones, low, high, digits, nbytes, signs, folds, row_folds
+    return w, ones, offset * ones, low, high, digits, nbytes, signs, folds
 
 
 class _Echelon:
     """Integer vectors modulo the prime p = 2**31 - 1 in reduced echelon
     form, and the residual of a target vector against them, on the
-    coordinates ``keep`` of each vector (all of them by default).
+    coordinates ``keep`` of each vector.
 
     ``add`` reduces a vector against the rows.  If its residual is zero,
     the vector lies in their span and is dropped.  Otherwise the residual,
@@ -609,36 +599,29 @@ class _Echelon:
     Rows, residuals and the target are each one integer: the q-th kept
     coordinate sits in slot q, w bits wide, w a multiple of 64, so that
     every slot is whole machine words.  A row's slot holds a residue below
-    r, not necessarily reduced: r = 3 * 2**31 + 3 with one folding per row
-    update, 2**32 with two (see below).  The heads v[pivot_i] and v itself
-    are taken as they are, each below ``height`` in absolute value, so each
-    slot of v - sum(heads * rows) lies below bound = len(keep) * height * r
-    + height in absolute value.  An offset that is a multiple of p and at
-    least bound in every slot makes every slot positive; w is the least
-    multiple of 64 that holds offset + bound: 64 for minors of order up to
-    5 on 7 vertices, 128 for order 6 on 7 or 8 and for order 10 on 12.
-    Rows take one folding per update unless two give narrower slots, as at
-    order 6 on 6 vertices and order 4 on 29 to 32.  Foldings x -> (x & p) +
-    (x >> 31), done on every slot at once through masks, keep each slot's
-    residue and bring it below 2p; subtracting p from every slot at or
-    above p then leaves each slot reduced, so a vector in the span leaves
-    with its residual still packed, compared with 0.  A kept residual's
-    pivot is its lowest nonzero slot.  Scaled there to 1, each slot below
-    p**2, one folding brings the new row below 2**32.  A row that is
-    updated gains (p - c) times the new row, 0 < c < p, so each slot stays
-    below 2**63 + 3 * 2**31 + 3, and one folding, (x & p) + (x >> 31) <=
-    (2**31 - 1) + (2**32 + 3), brings it back below 3 * 2**31 + 3; a second
-    brings it below 2**32.  The target, kept reduced, is folded twice and
-    reduced.
+    2**32, not necessarily reduced.  The heads v[pivot_i] and v itself are
+    taken as they are, each below ``height`` in absolute value, so each
+    slot of v - sum(heads * rows) lies below bound = len(keep) * height *
+    2**32 + height in absolute value.  An offset that is a multiple of p
+    and at least bound in every slot makes every slot positive; w is the
+    least multiple of 64 that holds offset + bound: 64 for minors of order
+    up to 5 on 7 vertices, 128 for order 6 on 7 or 8 and for order 10 on
+    12.  Foldings x -> (x & p) + (x >> 31), done on every slot at once
+    through masks, keep each slot's residue and bring it below 2p;
+    subtracting p from every slot at or above p then leaves each slot
+    reduced, so a vector in the span leaves with its residual still packed,
+    compared with 0.  A kept residual's pivot is its lowest nonzero slot.
+    When a row or the target is updated it gains (p - c) times the new row,
+    less than 2**63 per slot, and two foldings bring it back below 2**32.
     """
 
-    def __init__(self, target: Sequence[int], height: int, keep: Optional[Sequence[int]] = None):
-        self.keep = range(len(target)) if keep is None else keep
-        self.pick = itemgetter(*self.keep)
+    def __init__(self, target: Sequence[int], height: int, keep: Sequence[int]):
+        self.keep = keep
+        self.pick = itemgetter(*keep)
         self.pivots: list[int] = []
         self.rows: list[int] = []
         (self.width, self.ones, self.offset, self.low, self.high, self.digits, self.nbytes,
-         self.signs, self.folds, self.row_folds) = _echelon_layout(len(self.keep), height)
+         self.signs, self.folds) = _echelon_layout(len(keep), height)
         w = self.width
         self.target = sum(t % _PRIME << w * q for q, t in enumerate(self.pick(target)))
 
@@ -677,21 +660,20 @@ class _Echelon:
 
     def add(self, v: Sequence[int]) -> bool:
         """Reduce v; make its residual a row if that is nonzero, and say so."""
-        rows, low, high, once = self.rows, self.low, self.high, self.row_folds == 1
-        heads = map(v.__getitem__, self.pivots)
-        res = self.offset + self._pack(self.pick(v)) - sum(map(mul, heads, rows))
+        heads = [v[p] for p in self.pivots]
+        res = self.offset + self._pack(self.pick(v)) - sum(map(mul, heads, self.rows))
         res = self._reduce(self._fold(res, self.folds))
         if not res:
             return False
         w = self.width
         j = ((res & -res).bit_length() - 1) // w
         shift = w * j
-        new = self._fold(res * pow(res >> shift & _PRIME, -1, _PRIME), 1)
+        new = self._fold(res * pow(res >> shift & _PRIME, -1, _PRIME), 2)
+        rows = self.rows
         for i, row in enumerate(rows):
-            c = (row >> shift & 0x1_FFFF_FFFF) % _PRIME
+            c = (row >> shift & 0xFFFF_FFFF) % _PRIME
             if c:
-                x = row + (_PRIME - c) * new
-                rows[i] = (x & low) + (x >> 31 & high) if once else self._fold(x, 2)
+                rows[i] = self._fold(row + (_PRIME - c) * new, 2)
         rows.append(new)
         self.pivots.append(self.keep[j])
         t = self.target >> shift & _PRIME

@@ -575,10 +575,16 @@ def _list_echelon(vectors, target):
     return chosen, pivots, False
 
 
+def _echelon(target, height, keep=None):
+    """``engine._Echelon`` on the coordinates ``keep``, all by default."""
+    return engine._Echelon(target, height, range(len(target)) if keep is None else keep)
+
+
 def _packed_echelon(vectors, target, height, keep=None):
     """``engine._Echelon`` driven as ``minors_combination`` drives it, with
-    the same result as ``_list_echelon``."""
-    echelon, chosen = engine._Echelon(target, height, keep), []
+    the same result as ``_list_echelon``; on every coordinate unless
+    ``keep`` is given."""
+    echelon, chosen = _echelon(target, height, keep), []
     for i, v in enumerate(vectors):
         if echelon.add(v):
             chosen.append(i)
@@ -614,14 +620,12 @@ def vector_streams(draw):
     return [tuple(v) for v in stream], target
 
 
-def _widest_one_word_height(n, folds=(1, 2)):
-    """The greatest height whose echelon on n coordinates has 64-bit slots
-    and rows folded ``folds`` times per update."""
+def _widest_one_word_height(n):
+    """The greatest height whose echelon on n coordinates has 64-bit slots."""
     lo, hi = 1, 1 << 40  # 64 bits at lo, more at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        echelon = engine._Echelon([1] * n, mid)
-        lo, hi = (mid, hi) if echelon.width == 64 and echelon.row_folds in folds else (lo, mid)
+        lo, hi = (mid, hi) if _echelon([1] * n, mid).width == 64 else (lo, mid)
     return lo
 
 
@@ -643,11 +647,6 @@ def _edge_stream(n, height):
 @example(_edge_stream(20, _widest_one_word_height(20) + 1))
 @example(_edge_stream(42, _widest_one_word_height(42)))
 @example(_edge_stream(42, _widest_one_word_height(42) + 1))
-# at the greatest height of 64-bit slots with rows folded once, and past it
-@example(_edge_stream(20, _widest_one_word_height(20, (1,))))
-@example(_edge_stream(20, _widest_one_word_height(20, (1,)) + 1))
-@example(_edge_stream(36, _widest_one_word_height(36, (1,))))
-@example(_edge_stream(36, _widest_one_word_height(36, (1,)) + 1))
 # entries above 2**63, two signed digits each
 @example(_edge_stream(6, 2**63 + 5))
 def test_packed_echelon_matches_the_list_echelon(case):
@@ -694,42 +693,14 @@ def test_packed_echelon_slot_widths():
     # minors stage keeps, and on order 5 up to 11 vertices.
     for keep in (lambda k: None, engine._echelon_coordinates):
         for k in (3, 4, 5):
-            assert engine._Echelon(engine.constant_one(k), 21**k, keep(k)).width == 64
-        assert engine._Echelon(engine.constant_one(6), 21**6, keep(6)).width == 128
-        assert engine._Echelon(engine.constant_one(10), 36**10, keep(10)).width == 128
-    assert engine._Echelon(engine.constant_one(5), 33**5, engine._echelon_coordinates(5)).width == 64
-    assert engine._Echelon([1] * 20, 2**64).width == 128
-    # the edges the examples above sit on
+            assert _echelon(engine.constant_one(k), 21**k, keep(k)).width == 64
+        assert _echelon(engine.constant_one(6), 21**6, keep(6)).width == 128
+        assert _echelon(engine.constant_one(10), 36**10, keep(10)).width == 128
+    assert _echelon(engine.constant_one(5), 33**5, engine._echelon_coordinates(5)).width == 64
+    assert _echelon([1] * 20, 2**64).width == 128
+    # the edge the examples above sit on
     height = _widest_one_word_height(20)
-    assert engine._Echelon([1] * 20, height + 1).width == 128
-    height = _widest_one_word_height(20, (1,))
-    assert engine._Echelon([1] * 20, height).row_folds == 1
-    assert engine._Echelon([1] * 20, height + 1).row_folds == 2
-
-
-def test_packed_echelon_slots_are_no_wider_than_with_rows_folded_twice():
-    # Rows folded twice per update stay below 2**32, once below 3 * 2**31 +
-    # 3, and a residual's slots on m coordinates below m * height * that +
-    # height.  Rows fold once unless that needs wider slots: minors of order
-    # up to 10 on up to 59 vertices, on every coordinate and on those the
-    # minors stage keeps.
-    def width(m, height, row_bound):
-        bound = m * height * row_bound + height
-        return -(-(-(-bound // PRIME) * PRIME + bound).bit_length() // 64) * 64
-
-    for n in range(1, 60):
-        for k in range(1, 11):
-            height = (3 * n) ** k if k <= engine._TABLE_ORDER else (k * (n + 2)) ** k
-            for keep in (None, engine._echelon_coordinates(k)):
-                echelon = engine._Echelon(engine.constant_one(k), height, keep)
-                m = len(echelon.keep)
-                once, twice = width(m, height, 3 * 2**31 + 3), width(m, height, 2**32)
-                want = (once, 1) if once == twice else (twice, 2)
-                assert (echelon.width, echelon.row_folds) == want, (n, k, m)
-    # two at order 6 on 6 vertices, one at order 5 on 7
-    for k, height, row_folds in ((6, 18**6, 2), (5, 21**5, 1)):
-        echelon = engine._Echelon(engine.constant_one(k), height, engine._echelon_coordinates(k))
-        assert echelon.row_folds == row_folds
+    assert _echelon([1] * 20, height + 1).width == 128
 
 
 def _per_point_minors_combination(g, k):
