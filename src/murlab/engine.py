@@ -247,6 +247,9 @@ DEFAULT_BUDGET = Budget()
 
 
 def _forest_certificate(res: PathForestResult, on_complement: bool) -> Certificate:
+    """The witness of a search as a certificate.  Its "exhaustive" entry is
+    true when the search finished: it visited every node it did not prune,
+    or its forest met the family value it was capped at."""
     w = res.witness
     t, m = len(w.paths), len(w.isolated)
     if t == 1 and m == 0:
@@ -270,12 +273,21 @@ def _forest_certificate(res: PathForestResult, on_complement: bool) -> Certifica
     )
 
 
-def mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certificate, bool]:
-    """The structural lower bound; also reports whether searches were exhaustive.
+def mur_lower(
+    g: Graph, budget: Budget = DEFAULT_BUDGET, cap: Optional[int] = None
+) -> tuple[int, Certificate, bool]:
+    """The structural lower bound; also reports whether a search was cut.
 
     It takes the best of the path-forest, diameter and family-membership
     bounds on both sides.  ``compute_mur`` may raise it further with a
     minors combination, so its ``lower`` is the best certified lower bound.
+
+    ``cap`` is g's family value, when it has one.  Each search stops once
+    its witness meets it, and a side is searched only while the bounds
+    listed so far are below it (the trivial 0 meets a cap of 0, the graph's
+    forest may meet it before the complement's turn).  A later bound could
+    at best tie, and ties go to the first, so the bound and certificate are
+    those of the uncapped searches whenever the family value is sound.
 
     A side's diameter d is read only if its search was cut: a shortest path
     of length d is an induced P_(d+1), of bound d - 1, so an exhaustive
@@ -291,8 +303,10 @@ def mur_lower(g: Graph, budget: Budget = DEFAULT_BUDGET) -> tuple[int, Certifica
     exhausted = False
     bounds = [(0, Certificate("trivial"))]
     for comp_side in (False, True):
+        if cap is not None and max(b for b, _ in bounds) >= cap:
+            break  # met: a later bound could at best tie, and ties go first
         side = facts.side(comp_side)
-        res = best_induced_path_forest(side, budget.search_nodes)
+        res = best_induced_path_forest(side, budget.search_nodes, cap)
         if res.witness is not None:
             bounds.append((res.witness.bound, _forest_certificate(res, comp_side)))
         if not res.exact:
@@ -1075,7 +1089,9 @@ def _upper_bounds(g: Graph, lower: int) -> Iterator[tuple[int, Certificate]]:
 def compute_mur(g: Graph, budget: Budget = DEFAULT_BUDGET) -> MurResult:
     """Certified interval (exact whenever the two bounds meet).
 
-    A family formula settles the value at once.  Otherwise a minors
+    A family formula settles the value at once.  It is read first, and the
+    forest searches of ``mur_lower`` stop once they meet it; a lower bound
+    above it would be an unsound certificate and raises.  Otherwise a minors
     combination is tried at the structural upper bound, as the delta = 0
     line lowers it, and, if that fails, once more at the bound the other
     lines bring it to; the search stops as soon as the two bounds meet.  If
@@ -1086,8 +1102,8 @@ def compute_mur(g: Graph, budget: Budget = DEFAULT_BUDGET) -> MurResult:
     if n == 0:
         t = Certificate("trivial")
         return MurResult(0, t, 0, t)
-    lower, lcert, exhausted = mur_lower(g, budget)
     fam = family_mur(g)
+    lower, lcert, exhausted = mur_lower(g, budget, None if fam is None else fam[0])
     if fam is not None:
         value, ucert = fam
         if lower > value:

@@ -1,7 +1,9 @@
 """Exhaustive search for induced linear forests.
 
 The search is exact branch-and-bound; when the node budget runs out the
-best witness found so far is returned with ``exact=False``.
+best witness found so far is returned with ``exact=False``.  Given a cap,
+a proven upper bound on the best forest's bound, it also stops once its
+witness meets the cap: that search is finished, so ``exact`` is true.
 """
 
 from __future__ import annotations
@@ -27,12 +29,31 @@ class PathForestWitness:
 
 @dataclass
 class PathForestResult:
+    """The best witness found, if any forest has a path.
+
+    ``exact`` is true when the search finished: it visited every node it
+    did not prune, or its witness met the cap it was given.  Either way no
+    forest has a higher bound than the witness, as far as the cap is sound.
+    """
+
     witness: PathForestWitness | None
     exact: bool
 
 
-def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> PathForestResult:
+class _CapMet(Exception):
+    """Raised at the leaf whose bound meets the cap, to end the search."""
+
+
+def best_induced_path_forest(
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET, cap: int | None = None
+) -> PathForestResult:
     """Maximize the path-forest lower bound over induced linear forests.
+
+    ``cap``, when given, is an upper bound on the answer proven elsewhere
+    (a family formula).  The search stops at the first leaf whose bound
+    reaches it, with ``exact`` true: a complete search would keep that same
+    witness, since it replaces its witness only on a strict gain, and a
+    search cut short of the cap runs node for node as without it.
 
     Vertices are decided in order, each included before it is excluded.  The
     forest chosen so far is kept as its edge count, the mask ``lone`` of its
@@ -55,6 +76,7 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
     n = g.n
     rows = g.rows
     twins = earlier_twins(g)
+    stop = n if cap is None else cap  # no forest on n vertices has bound n
     best_bound = -1
     best_mask = 0
     budget = node_budget
@@ -75,6 +97,8 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
             if edges and edges - (not lone) > best_bound:
                 best_bound = edges - (not lone)
                 best_mask = mask
+                if best_bound >= stop:
+                    raise _CapMet
             return
         bit = 1 << idx
         nbrs = rows[idx] & mask
@@ -99,7 +123,10 @@ def best_induced_path_forest(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -
                 far[a], far[b] = u, v
         choose(idx + 1, mask, size, edges, lone, ends)
 
-    choose(0, 0, 0, 0, 0, 0)
+    try:
+        choose(0, 0, 0, 0, 0, 0)
+    except _CapMet:
+        pass
     if best_bound < 0:
         return PathForestResult(None, not cut)
     return PathForestResult(_mask_to_witness(g, best_mask), not cut)

@@ -42,6 +42,7 @@ from murlab.graphs import (
     star,
 )
 from murlab.matrices import charpoly, det_int, rank_rational
+from murlab.pathsearch import best_induced_path_forest
 from murlab.polynomials import integer_roots
 from murlab.verify import _spread_corpus, family_checks, suite_spread_bounds
 from helpers import (
@@ -390,6 +391,42 @@ def test_diameter_only_after_a_cut_search(monkeypatch):
         assert calls == []
         assert mur_lower(g, Budget(search_nodes=1))[2]
         assert calls == [g, g.complement()]
+
+
+def test_no_search_passes_the_family_value():
+    # compute_mur caps both forest searches at the family value, which is
+    # sound only if no forest on either side goes past it.  With the cap,
+    # every report at Budget() is the one the uncapped bound gave.
+    valued = [g for _, g, _ in family_checks()] + atlas7()
+    valued = [g for g in valued if family_mur(g)]
+    assert len(valued) == 249 + 32
+    budget = Budget()
+    for g in valued:
+        value, ucert = family_mur(g)
+        for side in (g, g.complement()):
+            res = best_induced_path_forest(side)
+            assert res.exact and (res.witness is None or res.witness.bound <= value), g
+        lower, lcert, exhausted = reference_mur_lower(g, budget)
+        if lower < value:
+            lcert = engine.Certificate("family_formula", dict(ucert.data))
+        want = engine.MurResult(value, lcert, value, ucert, budget_exhausted=exhausted)
+        got = report.build_report(g, compute_mur(g, budget), budget, 0.0)
+        assert got == report.build_report(g, want, budget, 0.0), g
+
+
+def test_a_search_that_meets_the_family_value_has_finished():
+    # 3C5's family value 8 is met by the graph's first forest, 16 nodes in.
+    # Uncapped, 100 nodes cut the search on that same forest; capped, the
+    # interval and witness stay and the search counts as finished.
+    g = disjoint_union([cycle(5)] * 3)
+    budget = Budget(search_nodes=100)
+    lower, cut_cert, cut = mur_lower(g, budget)
+    assert lower == 8 and cut and not cut_cert.data["exhaustive"]
+    doc = report.build_report(g, compute_mur(g, budget), budget, 0.0)
+    assert (doc["result"]["lower"], doc["result"]["upper"]) == (8, 8)
+    assert doc["lower_certificate"]["kind"] == "path_forest"
+    assert doc["lower_certificate"]["data"] == {**cut_cert.data, "exhaustive": True}
+    assert doc["budget_exhausted"] is False
 
 
 def _points_minor(g, k, rows, cols):
@@ -1080,6 +1117,15 @@ def test_minors_certificate_stops_the_search(monkeypatch):
     assert res.lower_cert.data["k"] == 4
     assert lines == [(g, Fraction(0))]
     assert [k for _, k in attempts] == [4]
+
+
+def test_family_suite_stops_its_searches_at_the_family_values(monkeypatch):
+    # 522 forest searches before the family value capped them: a value of 0
+    # needs no search, and a graph whose own side meets it leaves its
+    # complement unsearched.
+    searches = spy_on(monkeypatch, "best_induced_path_forest")
+    verify.run_suite("families")
+    assert len(searches) == 310
 
 
 @pytest.mark.parametrize("n", [7, 11])
